@@ -87,14 +87,16 @@ class FormalContext:
             seen.add(name)
 
         n_obj, n_attr = len(self.objects), len(self.attributes)
+        # Indices must be ints: 0.0 passes the range test but breaks every
+        # bit operation later.  Inline, since this runs once per incidence pair.
         for g, m in self.incidence:
-            if not 0 <= g < n_obj:
+            if not isinstance(g, int) or not 0 <= g < n_obj:
                 raise BadIndex("object", g, n_obj)
-            if not 0 <= m < n_attr:
+            if not isinstance(m, int) or not 0 <= m < n_attr:
                 raise BadIndex("attribute", m, n_attr)
         if self.attribute_meta:
             for m in self.attribute_meta:
-                if not 0 <= m < n_attr:
+                if not isinstance(m, int) or not 0 <= m < n_attr:
                     raise BadIndex("attribute", m, n_attr)
 
     @cached_property
@@ -119,16 +121,26 @@ class FormalContext:
     def _all_attributes_mask(self) -> int:
         return (1 << len(self.attributes)) - 1
 
+    @cached_property
+    def _object_ids(self) -> dict[str, int]:
+        return {name: g for g, name in enumerate(self.objects)}
+
+    @cached_property
+    def _attribute_ids(self) -> dict[str, int]:
+        return {name: m for m, name in enumerate(self.attributes)}
+
     def object_index(self, name: str) -> int:
+        """Index of the named object; KeyError if there is none."""
         try:
-            return self.objects.index(name)
-        except ValueError:
+            return self._object_ids[name]
+        except TypeError:  # unhashable, so certainly not a name
             raise KeyError(name) from None
 
     def attribute_index(self, name: str) -> int:
+        """Index of the named attribute; KeyError if there is none."""
         try:
-            return self.attributes.index(name)
-        except ValueError:
+            return self._attribute_ids[name]
+        except TypeError:  # unhashable, so certainly not a name
             raise KeyError(name) from None
 
     def object_names(self, indices: Iterable[int]) -> tuple[str, ...]:

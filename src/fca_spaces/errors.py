@@ -56,7 +56,7 @@ class BadIndex(FcaError, IndexError):
         self.kind = kind
         self.index = index
         self.size = size
-        super().__init__(f"{kind} index {index} out of range for size {size}")
+        super().__init__(f"{kind} index {index!r} out of range for size {size}")
 
 
 class BadId(FcaError, IndexError):

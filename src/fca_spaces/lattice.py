@@ -117,27 +117,38 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     concepts = enumerate_concepts(ctx)
     n = len(concepts)
     extent_masks = [sum(1 << g for g in c.extent) for c in concepts]
+    id_by_extent = {mask: i for i, mask in enumerate(extent_masks)}
+    cols = ctx._col_masks
 
-    # Ids ascend as extent size descends, so any strict superconcept of i
-    # has a smaller id.  Upper covers of i are the minimal elements among
-    # its strict superconcepts; scanning candidates smallest-extent-first
-    # lets earlier accepted covers veto everything above them.
-    upper: list[tuple[int, ...]] = []
-    for i in range(n):
-        mi = extent_masks[i]
-        ups = [j for j in range(i) if mi & extent_masks[j] == mi and mi != extent_masks[j]]
-        ups.sort(key=lambda j: extent_masks[j].bit_count())
-        covers: list[int] = []
-        for j in ups:
+    # Neighbour construction (Lindig, "Fast concept analysis", taken from the
+    # attribute side).  Every lower cover of extent A has the form A & m' for
+    # an attribute m outside the intent, and A & m' is itself an extent, so
+    # the lower covers are the maximal sets among those candidates.  Ids
+    # ascend as extent size descends, so visiting candidates by id puts each
+    # one after all of its supersets: a candidate is a cover unless it lies
+    # inside one already kept, and the kept ids come out ascending.
+    lower: list[tuple[int, ...]] = []
+    for a in extent_masks:
+        candidates = set(map(a.__and__, cols))
+        candidates.discard(a)
+        kept: list[int] = []
+        kept_masks: list[int] = []
+        for j in sorted(map(id_by_extent.__getitem__, candidates)):
             mj = extent_masks[j]
-            if not any(extent_masks[c] & mj == extent_masks[c] for c in covers):
-                covers.append(j)
-        upper.append(tuple(sorted(covers)))
+            for k in kept_masks:
+                if mj & k == mj:
+                    break
+            else:
+                kept.append(j)
+                kept_masks.append(mj)
+        lower.append(tuple(kept))
 
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for i, ups in enumerate(upper):
-        for j in ups:
-            lower[j].append(i)
+    # Inverting in ascending id order leaves every upper-cover list sorted.
+    upper_lists: list[list[int]] = [[] for _ in range(n)]
+    for i, lows in enumerate(lower):
+        for j in lows:
+            upper_lists[j].append(i)
+    upper = [tuple(ups) for ups in upper_lists]
 
     levels = [0] * n
     for i in range(n):  # upper covers always have smaller ids: topological
@@ -153,7 +164,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
         ctx,
         concepts,
         upper,
-        [tuple(sorted(ls)) for ls in lower],
+        lower,
         levels,
         top_id,
         bottom_id,
@@ -164,8 +175,9 @@ def recompute_covers_pairwise(lat: ConceptLattice) -> list[tuple[int, int]]:
     """Cover edges recomputed straight from the definition.
 
     For every ordered pair a < b, keep the edge iff no concept sits strictly
-    between.  Quadratic-ish and deliberately independent of the construction
-    used by :func:`build_lattice`; backs ``fca validate``.
+    between.  A triple loop, so cubic in the concept count.  It shares no
+    logic with the neighbour construction in :func:`build_lattice` and is
+    the oracle that construction is checked against; backs ``fca validate``.
     """
     masks = lat._extent_masks
     n = len(masks)

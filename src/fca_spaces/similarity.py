@@ -21,8 +21,8 @@ from .context import (
     _mask_to_set,
 )
 from .enumeration import _mask_to_sorted
-from .errors import EmptyCategory, MixedContext
-from .lattice import ConceptLattice
+from .errors import EmptyCategory
+from .lattice import ConceptLattice, _check_same_context
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def nearest_concept(ctx: FormalContext, lat: ConceptLattice, attrs: Iterable[int
     Total: an attribute combination no object exhibits lands on the bottom
     concept.  For any already-closed intent this is exactly its concept.
     """
-    if lat.context != ctx:
-        raise MixedContext("lattice was not built from the given context")
+    _check_same_context(lat, ctx)
     mask = _attribute_set_to_mask(ctx, attrs)
     extent = _extent_mask(ctx, mask)
     intent = _mask_to_sorted(_intent_mask(ctx, extent))

@@ -125,6 +125,13 @@ class TestConstruction:
         with pytest.raises(BadIndex):
             FormalContext(("g",), ("m",), frozenset({(1, 0)}))
 
+    def test_non_int_index_rejected(self):
+        for incidence in ({(0.0, 0)}, {(0, 0.0)}, {("0", 0)}, {(0, None)}):
+            with pytest.raises(BadIndex):
+                FormalContext(("g",), ("m",), frozenset(incidence))
+        with pytest.raises(BadIndex):
+            FormalContext(("g",), ("m",), frozenset(), attribute_meta={0.0: AttributeMeta("Wrist")})
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DuplicateName):
             FormalContext(("g", "g"), ("m",), frozenset())

@@ -15,8 +15,8 @@ from fca_spaces import (
     serialize_context,
     specialize,
 )
-from conftest import contexts, random_context, rows_of
-from reference import ref_sorted_concepts
+from conftest import contexts, make_context, random_context, rows_of
+from reference import ref_hasse_edges, ref_levels, ref_sorted_concepts
 
 
 @st.composite
@@ -97,6 +97,33 @@ def test_round_trip_identity(ctx):
 def test_enumeration_matches_reference(ctx):
     got = [(c.extent, c.intent) for c in enumerate_concepts(ctx)]
     assert got == ref_sorted_concepts(rows_of(ctx), len(ctx.attributes))
+
+
+@given(contexts(max_objects=7, max_attributes=7))
+@settings(deadline=None)
+def test_covers_and_levels_match_reference(ctx):
+    lat = build_lattice(ctx)
+    n = len(lat)
+    edges = ref_hasse_edges([c.extent_set for c in lat.concepts])
+    assert set(lat.cover_edges()) == edges
+    assert len(lat.cover_edges()) == len(edges)
+    levels = ref_levels(n, edges)
+    assert [lat.level_of(i) for i in range(n)] == [levels[i] for i in range(n)]
+    for i in range(n):
+        ups, lows = lat.upper_covers(i), lat.lower_covers(i)
+        assert list(ups) == sorted(set(ups))
+        assert list(lows) == sorted(set(lows))
+        assert all(i in lat.lower_covers(j) for j in ups)
+        assert all(i in lat.upper_covers(j) for j in lows)
+
+
+def test_contranominal_covers_and_height():
+    # every object lacks exactly one attribute: the lattice is Boolean on n atoms
+    for n in range(8):
+        lat = build_lattice(make_context([frozenset(range(n)) - {g} for g in range(n)], n))
+        assert len(lat) == 2**n
+        assert len(lat.cover_edges()) == n * 2**n // 2
+        assert lat.height() == n
 
 
 @given(contexts(max_objects=5, max_attributes=5), st.integers(1, 4))
