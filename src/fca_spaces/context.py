@@ -71,7 +71,6 @@ class FormalContext:
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "incidence", frozenset(map(tuple, self.incidence)))
 
         seen: set[str] = set()
         for name in self.objects:
@@ -89,11 +88,19 @@ class FormalContext:
         n_obj, n_attr = len(self.objects), len(self.attributes)
         # Indices must be ints: 0.0 passes the range test but breaks every
         # bit operation later.  Inline, since this runs once per incidence pair.
-        for g, m in self.incidence:
+        items = tuple(self.incidence)
+        for item in items:
+            try:
+                g, m = item
+            except (TypeError, ValueError):
+                raise ContextError(
+                    f"incidence item {item!r} is not an (object, attribute) index pair"
+                ) from None
             if not isinstance(g, int) or not 0 <= g < n_obj:
                 raise BadIndex("object", g, n_obj)
             if not isinstance(m, int) or not 0 <= m < n_attr:
                 raise BadIndex("attribute", m, n_attr)
+        object.__setattr__(self, "incidence", frozenset(map(tuple, items)))
         if self.attribute_meta:
             for m in self.attribute_meta:
                 if not isinstance(m, int) or not 0 <= m < n_attr:
@@ -163,7 +170,7 @@ def _object_set_to_mask(ctx: FormalContext, objs: Iterable[int]) -> int:
     n = len(ctx.objects)
     mask = 0
     for g in objs:
-        if not 0 <= g < n:
+        if not isinstance(g, int) or not 0 <= g < n:
             raise BadIndex("object", g, n)
         mask |= 1 << g
     return mask
@@ -173,7 +180,7 @@ def _attribute_set_to_mask(ctx: FormalContext, attrs: Iterable[int]) -> int:
     n = len(ctx.attributes)
     mask = 0
     for m in attrs:
-        if not 0 <= m < n:
+        if not isinstance(m, int) or not 0 <= m < n:
             raise BadIndex("attribute", m, n)
         mask |= 1 << m
     return mask

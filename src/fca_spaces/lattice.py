@@ -54,6 +54,7 @@ class ConceptLattice:
             sum(1 << g for g in c.extent) for c in self.concepts
         )
         self._id_by_intent = {c.intent: i for i, c in enumerate(self.concepts)}
+        self._id_by_extent = {m: i for i, m in enumerate(self._extent_masks)}
 
     def __len__(self) -> int:
         return len(self.concepts)

@@ -8,10 +8,11 @@ overlap of intents breaking ties among equidistant concepts.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from .context import (
     FormalContext,
@@ -20,7 +21,6 @@ from .context import (
     _intent_mask,
     _mask_to_set,
 )
-from .enumeration import _mask_to_sorted
 from .errors import EmptyCategory
 from .lattice import ConceptLattice, _check_same_context
 
@@ -43,26 +43,37 @@ def intent_jaccard(a: Iterable[int], b: Iterable[int]) -> Fraction:
     return Fraction(len(sa & sb), len(union))
 
 
+def _layers(neighbours: Callable[[int], Iterable[int]], start: int) -> Iterator[list[int]]:
+    """Breadth-first layers around ``start``: the nodes at distance 1, then 2, ...
+
+    Each yielded layer is non-empty; the walk stops early when the caller does.
+    """
+    seen = {start}
+    layer = [start]
+    while True:
+        nxt: list[int] = []
+        for c in layer:
+            for nb in neighbours(c):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        if not nxt:
+            return
+        yield nxt
+        layer = nxt
+
+
+def _undirected(lat: ConceptLattice) -> Callable[[int], tuple[int, ...]]:
+    upper, lower = lat._upper, lat._lower
+    return lambda c: upper[c] + lower[c]
+
+
 def _walk(lat: ConceptLattice, start: int, steps: int, up: bool) -> frozenset[int]:
     lat._check_id(start)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    neighbours = lat.upper_covers if up else lat.lower_covers
-    seen = {start}
-    frontier = [start]
-    reached: set[int] = set()
-    for _ in range(steps):
-        if not frontier:
-            break
-        nxt: list[int] = []
-        for c in frontier:
-            for nb in neighbours(c):
-                if nb not in seen:
-                    seen.add(nb)
-                    reached.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return frozenset(reached)
+    neighbours = lat._upper if up else lat._lower
+    return frozenset(chain.from_iterable(islice(_layers(neighbours.__getitem__, start), steps)))
 
 
 def generalize(lat: ConceptLattice, concept_id: int, steps: int) -> frozenset[int]:
@@ -85,38 +96,16 @@ def siblings(lat: ConceptLattice, concept_id: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _distances_from(lat: ConceptLattice, start: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        d = dist[c] + 1
-        for nb in lat.upper_covers(c) + lat.lower_covers(c):
-            if nb not in dist:
-                dist[nb] = d
-                queue.append(nb)
-    return dist
-
-
 def lattice_distance(lat: ConceptLattice, a: int, b: int) -> int:
     """Shortest undirected path length between two concepts in the cover graph."""
     lat._check_id(a)
     lat._check_id(b)
     if a == b:
         return 0
-    # Cover graphs of lattices are connected, so the BFS always terminates
-    # with b discovered.
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        c = queue.popleft()
-        d = dist[c] + 1
-        for nb in lat.upper_covers(c) + lat.lower_covers(c):
-            if nb == b:
-                return d
-            if nb not in dist:
-                dist[nb] = d
-                queue.append(nb)
+    # Cover graphs of lattices are connected, so some layer holds b.
+    for d, layer in enumerate(_layers(_undirected(lat), a), start=1):
+        if b in layer:
+            return d
     raise AssertionError("cover graph unexpectedly disconnected")
 
 
@@ -125,20 +114,26 @@ def similar_concepts(lat: ConceptLattice, concept_id: int, k: int) -> list[Simil
 
     Ranked by cover-graph distance ascending, then intent Jaccard descending,
     then concept id.  ``concept_id`` itself is excluded; the list is shorter
-    than ``k`` only when the lattice has fewer other concepts.
+    than ``k`` only when the lattice has fewer other concepts.  The search
+    stops at the distance of the ``k``-th result, so its cost follows the
+    neighbourhood visited rather than the size of the lattice.
     """
     lat._check_id(concept_id)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    own_intent = lat.concepts[concept_id].intent
-    dist = _distances_from(lat, concept_id)
-    results = [
-        SimilarityResult(c, d, intent_jaccard(own_intent, lat.concepts[c].intent))
-        for c, d in dist.items()
-        if c != concept_id
-    ]
-    results.sort(key=lambda r: (r.lattice_distance, -r.intent_jaccard, r.concept_id))
-    return results[:k]
+    own_intent = lat.concepts[concept_id].intent_set
+    results: list[SimilarityResult] = []
+    for d, layer in enumerate(_layers(_undirected(lat), concept_id), start=1):
+        ranked = (
+            SimilarityResult(c, d, intent_jaccard(own_intent, lat.concepts[c].intent))
+            for c in layer
+        )
+        results += heapq.nsmallest(
+            k - len(results), ranked, key=lambda r: (-r.intent_jaccard, r.concept_id)
+        )
+        if len(results) == k:
+            break
+    return results
 
 
 def nearest_concept(ctx: FormalContext, lat: ConceptLattice, attrs: Iterable[int]) -> int:
@@ -148,10 +143,8 @@ def nearest_concept(ctx: FormalContext, lat: ConceptLattice, attrs: Iterable[int
     concept.  For any already-closed intent this is exactly its concept.
     """
     _check_same_context(lat, ctx)
-    mask = _attribute_set_to_mask(ctx, attrs)
-    extent = _extent_mask(ctx, mask)
-    intent = _mask_to_sorted(_intent_mask(ctx, extent))
-    return lat._id_by_intent[intent]
+    # The concept's extent is the cue's extent, so its intent need not be derived.
+    return lat._id_by_extent[_extent_mask(ctx, _attribute_set_to_mask(ctx, attrs))]
 
 
 def prototype(ctx: FormalContext, category: Iterable[int]) -> int:

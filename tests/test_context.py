@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from fca_spaces import (
     AttributeMeta,
     BadIndex,
+    ContextError,
     DuplicateName,
     FormalContext,
     InvalidName,
@@ -132,6 +135,11 @@ class TestConstruction:
         with pytest.raises(BadIndex):
             FormalContext(("g",), ("m",), frozenset(), attribute_meta={0.0: AttributeMeta("Wrist")})
 
+    def test_malformed_incidence_item_rejected(self):
+        for item in ((0,), 0, (0, 0, 0)):
+            with pytest.raises(ContextError, match=re.escape(repr(item))):
+                FormalContext(("g",), ("m",), frozenset({item}))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DuplicateName):
             FormalContext(("g", "g"), ("m",), frozenset())
@@ -197,6 +205,12 @@ class TestDerivations:
             derive_extent(abc_ctx, {-1})
         with pytest.raises(BadIndex):
             closure_attributes(abc_ctx, {17})
+
+    @pytest.mark.parametrize("index", [0.0, "0"])
+    @pytest.mark.parametrize("derive", [derive_intent, derive_extent, closure_attributes])
+    def test_non_int_index(self, abc_ctx, derive, index):
+        with pytest.raises(BadIndex):
+            derive(abc_ctx, {index})
 
     def test_empty_context_laws(self):
         no_attrs = FormalContext(("g1", "g2"), (), frozenset())

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +14,11 @@ from fca_spaces import (
     nearest_concept,
     parse_context,
     serialize_context,
+    similar_concepts,
     specialize,
 )
 from conftest import contexts, make_context, random_context, rows_of
-from reference import ref_hasse_edges, ref_levels, ref_sorted_concepts
+from reference import ref_distances, ref_hasse_edges, ref_levels, ref_sorted_concepts
 
 
 @st.composite
@@ -162,6 +164,30 @@ def test_distance_symmetry_and_identity(ctx):
             d = lattice_distance(lat, a, b)
             assert d == lattice_distance(lat, b, a)
             assert (d == 0) == (a == b)
+
+
+@given(contexts(max_objects=7, max_attributes=7))
+@settings(deadline=None)
+def test_similarity_ranking_matches_reference(ctx):
+    # the layered search must return the full ranking cut to k
+    lat = build_lattice(ctx)
+    n = len(lat)
+    edges = ref_hasse_edges([c.extent_set for c in lat.concepts])
+    intents = [c.intent_set for c in lat.concepts]
+
+    def set_jaccard(x, y):
+        return Fraction(len(x & y), len(x | y)) if x | y else Fraction(1)
+
+    for a in range(n):
+        dist = ref_distances(n, edges, a)
+        assert [lattice_distance(lat, a, b) for b in range(n)] == [dist[b] for b in range(n)]
+        ranking = sorted(
+            (dist[b], -set_jaccard(intents[a], intents[b]), b) for b in range(n) if b != a
+        )
+        for k in {1, 2, 5, n}:
+            got = [(r.lattice_distance, -r.intent_jaccard, r.concept_id)
+                   for r in similar_concepts(lat, a, k)]
+            assert got == ranking[:k]
 
 
 @given(contexts(max_objects=6, max_attributes=6), st.randoms(use_true_random=False))

@@ -5,6 +5,7 @@ import pytest
 
 from fca_spaces import (
     BadId,
+    BadIndex,
     EmptyCategory,
     FormalContext,
     MixedContext,
@@ -208,6 +209,11 @@ class TestNearestConcept:
                 if attrs <= c.intent_set:
                     assert grasp_lat.leq(i, cid)
 
+    @pytest.mark.parametrize("index", [0.0, "0"])
+    def test_non_int_index(self, abc_ctx, abc_lat, index):
+        with pytest.raises(BadIndex):
+            nearest_concept(abc_ctx, abc_lat, {index})
+
     def test_mixed_lattice_rejected(self, abc_ctx, grasp_lat):
         with pytest.raises(MixedContext):
             nearest_concept(abc_ctx, grasp_lat, frozenset())
@@ -231,6 +237,11 @@ class TestPrototype:
         attrs = {abc_ctx.attribute_index("Point"), abc_ctx.attribute_index("Wrist")}
         with pytest.raises(EmptyCategory):
             prototype(abc_ctx, attrs)
+
+    @pytest.mark.parametrize("index", [0.0, "0"])
+    def test_non_int_index(self, abc_ctx, index):
+        with pytest.raises(BadIndex):
+            prototype(abc_ctx, {index})
 
     def test_column_permutation_invariant(self, grasp_ctx):
         rng = random.Random(13)
