@@ -24,7 +24,14 @@ from .context import (
 )
 from .enumeration import brute_force_concepts, enumerate_concepts, object_concept
 from .errors import ContextError, EmptyCategory, FcaError
-from .lattice import ConceptLattice, build_lattice, export_dot, export_json, recompute_covers_pairwise
+from .lattice import (
+    ConceptLattice,
+    _covers_pass_neighbour_test,
+    build_lattice,
+    export_dot,
+    export_json,
+    recompute_covers_pairwise,
+)
 from .similarity import (
     nearest_concept,
     prototype,
@@ -274,6 +281,9 @@ def _validation_checks(ctx: FormalContext, oracle: bool):
         return keys == sorted(keys) and len(set(concepts)) == len(concepts)
 
     def cover_reduction() -> bool:
+        return _covers_pass_neighbour_test(lat)
+
+    def cover_pairwise() -> bool:
         return lat.cover_edges() == recompute_covers_pairwise(lat)
 
     def unique_extremes() -> bool:
@@ -299,12 +309,13 @@ def _validation_checks(ctx: FormalContext, oracle: bool):
         ("levels equal longest cover path from top", levels_longest_path),
     ]
     if oracle:
-        checks.append(
+        checks += [
+            ("covers equal cubic pairwise recomputation", cover_pairwise),
             (
                 "enumeration equals exhaustive subset closure",
                 lambda: enumerate_concepts(ctx) == brute_force_concepts(ctx),
-            )
-        )
+            ),
+        ]
     return checks
 
 
@@ -324,6 +335,16 @@ def _cmd_validate(ns) -> int:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_format(parser, choices=("table", "json"), default="table") -> None:
@@ -359,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similar", help="rank concepts nearest to an object's concept")
     p.add_argument("context")
     p.add_argument("--object", required=True, help="object name")
-    p.add_argument("-k", type=int, default=DEFAULT_K)
+    p.add_argument("-k", type=_positive_int, default=DEFAULT_K)
     _add_format(p)
     p.set_defaults(func=_cmd_similar)
 
@@ -385,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="self-check enumeration and lattice structure")
     p.add_argument("context")
-    p.add_argument("--oracle", action="store_true", help="also run the exhaustive subset check")
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="also run the cubic pairwise cover check and the exhaustive subset check",
+    )
     p.set_defaults(func=_cmd_validate)
 
     return parser
@@ -410,7 +435,7 @@ def run(argv: Sequence[str]) -> int:
     except ContextError as exc:
         print(f"context error: {exc}", file=sys.stderr)
         return EXIT_CONTEXT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read context: {exc}", file=sys.stderr)
         return EXIT_CONTEXT
     except FcaError as exc:

@@ -262,6 +262,8 @@ def parse_context(text: str) -> FormalContext:
         lines.pop()  # trailing newline
     if not lines:
         raise MalformedCell(0, 0, "empty input: missing attribute header")
+    if text.startswith("\ufeff"):
+        raise MalformedCell(0, 0, "input starts with a byte-order mark (U+FEFF); save it without one")
 
     header = [cell.strip() for cell in lines[0].split(",")]
     if header[0] != "":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import json
 
-from .context import FormalContext
+from .context import FormalContext, _mask_to_set
 from .enumeration import FormalConcept, attribute_concept, enumerate_concepts, object_concept
 from .errors import BadId, MixedContext
 
@@ -178,7 +178,8 @@ def recompute_covers_pairwise(lat: ConceptLattice) -> list[tuple[int, int]]:
     For every ordered pair a < b, keep the edge iff no concept sits strictly
     between.  A triple loop, so cubic in the concept count.  It shares no
     logic with the neighbour construction in :func:`build_lattice` and is
-    the oracle that construction is checked against; backs ``fca validate``.
+    the oracle that construction is checked against; backs
+    ``fca validate --oracle``.
     """
     masks = lat._extent_masks
     n = len(masks)
@@ -192,6 +193,49 @@ def recompute_covers_pairwise(lat: ConceptLattice) -> list[tuple[int, int]]:
             if less(a, b) and not any(less(a, c) and less(c, b) for c in range(n)):
                 edges.append((a, b))
     return sorted(edges)
+
+
+def _covers_pass_neighbour_test(lat: ConceptLattice) -> bool:
+    """True iff the stored cover lists are exactly the Hasse diagram.
+
+    Lindig's neighbour test ("Fast concept analysis", 2000), taken from the
+    object side on row and intent masks, so it shares no logic with the
+    attribute-side construction in :func:`build_lattice`.  Adding an object
+    g outside extent A to concept (A, B) gives the intent B & g'.  A listed
+    upper cover b is sound iff A is a proper subset of ext(b) and every
+    object it adds gives exactly int(b): then no concept lies in between.
+    Each candidate intent belongs to a concept above (A, B), so a true cover
+    sits below it; the list is complete iff every candidate is contained in
+    the intent of some listed cover, since a true cover's own intent is one
+    of the candidates.  Lower lists must be the inverse of the upper lists.
+    Concepts are assumed closed, which ``fca validate`` checks separately.
+    About concepts x objects mask intersections plus one per object a
+    cover adds, so polynomial where :func:`recompute_covers_pairwise` is
+    cubic in the concept count.
+    """
+    rows = lat.context._row_masks
+    extents = lat._extent_masks
+    intents = [sum(1 << m for m in c.intent) for c in lat.concepts]
+    inverse: list[list[int]] = [[] for _ in extents]
+    for a, (ext_a, int_a) in enumerate(zip(extents, intents)):
+        ups = lat._upper[a]
+        if len(set(ups)) != len(ups):
+            return False
+        for b in ups:
+            added = extents[b] & ~ext_a
+            if not added or extents[b] & ext_a != ext_a:
+                return False
+            if any(int_a & rows[g] != intents[b] for g in _mask_to_set(added)):
+                return False
+            inverse[b].append(a)
+        # Objects inside A give B itself, and only they do, A being B'.
+        candidates = set(map(int_a.__and__, rows))
+        candidates.discard(int_a)
+        up_intents = [intents[b] for b in ups]
+        for candidate in candidates:
+            if not any(candidate & i == candidate for i in up_intents):
+                return False
+    return all(sorted(lows) == inv for lows, inv in zip(lat._lower, inverse))
 
 
 def _check_same_context(lat: ConceptLattice, ctx: FormalContext) -> None:

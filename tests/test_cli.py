@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from fca_spaces import golden_csv
+from fca_spaces import ConceptLattice, build_lattice, cli, golden_csv
 from fca_spaces.cli import run
 
 
@@ -89,6 +89,13 @@ class TestSimilarCommand:
         sibling_intents = [tuple(c["intent"]) for c in data["similar"] if c["distance"] == 2]
         assert ("Middle Finger", "Flexion", "Extension") in sibling_intents
 
+    def test_k_below_one_is_usage_error(self, capsys):
+        for k in ("0", "-3"):
+            code, out, err = invoke(capsys, "similar", "ninapro-abc", "--object", "Ex1 Act1-", "-k", k)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines()[0] == f"error: argument -k: must be at least 1, got {int(k)}"
+
     def test_unknown_object(self, capsys):
         code, _, err = invoke(capsys, "similar", "ninapro-abc", "--object", "Ex9 Act9")
         assert code == 3
@@ -173,6 +180,39 @@ class TestValidateCommand:
         assert code == 0
         assert not any("exhaustive" in l for l in out.splitlines())
 
+    def test_oracle_adds_pairwise_cover_check(self, capsys):
+        default = [
+            "ok: concepts are closed (extent'' = extent, intent'' = intent)",
+            "ok: enumeration order: extent size desc, intent lexicographic",
+            "ok: covers equal pairwise transitive reduction",
+            "ok: unique top and bottom",
+            "ok: levels equal longest cover path from top",
+        ]
+        code, out, _ = invoke(capsys, "validate", "ninapro-abc")
+        assert code == 0
+        assert out.splitlines() == default
+        code, out, _ = invoke(capsys, "validate", "ninapro-abc", "--oracle")
+        assert code == 0
+        assert out.splitlines() == default + [
+            "ok: covers equal cubic pairwise recomputation",
+            "ok: enumeration equals exhaustive subset closure",
+        ]
+
+    def test_corrupted_covers_fail(self, monkeypatch, capsys):
+        def dropped_cover(ctx):
+            lat = build_lattice(ctx)
+            low, up = lat.cover_edges()[0]
+            upper = [tuple(j for j in lat.upper_covers(i) if (i, j) != (low, up)) for i in range(len(lat))]
+            lower = [tuple(j for j in lat.lower_covers(i) if (j, i) != (low, up)) for i in range(len(lat))]
+            levels = [lat.level_of(i) for i in range(len(lat))]
+            return ConceptLattice(ctx, lat.concepts, upper, lower, levels, lat.top_id, lat.bottom_id)
+
+        monkeypatch.setattr(cli, "build_lattice", dropped_cover)
+        code, out, err = invoke(capsys, "validate", "ninapro-abc")
+        assert code == 1
+        assert "FAIL: covers equal pairwise transitive reduction" in out.splitlines()
+        assert "check(s) failed" in err
+
     def test_oracle_refused_on_wide_context(self, tmp_path, capsys):
         attrs = ",".join(f"m{j}" for j in range(25))
         path = tmp_path / "wide.csv"
@@ -194,6 +234,23 @@ class TestContextLoading:
         code, _, err = invoke(capsys, "concepts", "/nonexistent/ctx.csv")
         assert code == 2
         assert err
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(",caf\xe9\ng1,1\n".encode("latin-1"))
+        for command in ("concepts", "validate"):
+            code, out, err = invoke(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("cannot read context: ")
+            assert "utf-8" in err
+
+    def test_byte_order_mark_file(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff,m1\ng1,1\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "concepts", str(path))
+        assert code == 2
+        assert "byte-order mark" in err
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

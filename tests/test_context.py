@@ -57,6 +57,12 @@ class TestParse:
         with pytest.raises(MalformedCell):
             parse_context("x,m1\ng1,1\n")
 
+    def test_byte_order_mark_rejected(self):
+        # deviations are never repaired, but the message must name the cause
+        with pytest.raises(MalformedCell, match="byte-order mark") as exc:
+            parse_context("\ufeff,m1\ng1,1\n")
+        assert (exc.value.row, exc.value.column) == (0, 0)
+
     def test_empty_attribute_header_rejected(self):
         with pytest.raises(MalformedCell):
             parse_context(",m1,\ng1,1,0\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from fca_spaces import (
+    ConceptLattice,
     build_lattice,
     closure_attributes,
     derive_extent,
@@ -17,6 +18,7 @@ from fca_spaces import (
     similar_concepts,
     specialize,
 )
+from fca_spaces.lattice import _covers_pass_neighbour_test
 from conftest import contexts, make_context, random_context, rows_of
 from reference import ref_distances, ref_hasse_edges, ref_levels, ref_sorted_concepts
 
@@ -117,6 +119,44 @@ def test_covers_and_levels_match_reference(ctx):
         assert list(lows) == sorted(set(lows))
         assert all(i in lat.lower_covers(j) for j in ups)
         assert all(i in lat.upper_covers(j) for j in lows)
+
+
+@given(contexts(max_objects=7, max_attributes=7), st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_neighbour_cover_check_matches_reference(ctx, rnd):
+    # the validate check must accept exactly the reference Hasse diagram
+    lat = build_lattice(ctx)
+    n = len(lat)
+    extents = [c.extent_set for c in lat.concepts]
+    truth = ref_hasse_edges(extents)
+
+    def relisted(edges, lower_edges=None):
+        lower_edges = edges if lower_edges is None else lower_edges
+        upper = [tuple(sorted(up for low, up in edges if low == i)) for i in range(n)]
+        lower = [tuple(sorted(low for low, up in lower_edges if up == i)) for i in range(n)]
+        levels = [lat.level_of(i) for i in range(n)]
+        return ConceptLattice(ctx, lat.concepts, upper, lower, levels, lat.top_id, lat.bottom_id)
+
+    def verdict_agrees(mutant):
+        ok = _covers_pass_neighbour_test(mutant)
+        assert ok == (mutant.cover_edges() == sorted(truth))
+        return ok
+
+    assert verdict_agrees(lat)
+    edges = sorted(truth)
+    if edges:
+        dropped = edges[:]
+        del dropped[rnd.randrange(len(dropped))]
+        assert not verdict_agrees(relisted(dropped))
+        assert not verdict_agrees(relisted(edges + [rnd.choice(edges)]))
+        # upper lists right, lower lists missing one edge
+        assert not _covers_pass_neighbour_test(relisted(edges, dropped))
+    transitive = [
+        (a, b) for a in range(n) for b in range(n)
+        if extents[a] < extents[b] and (a, b) not in truth
+    ]
+    if transitive:
+        assert not verdict_agrees(relisted(edges + [rnd.choice(transitive)]))
 
 
 def test_contranominal_covers_and_height():
