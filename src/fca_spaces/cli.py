@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import corpus as corpus_mod
@@ -23,10 +24,11 @@ from .context import (
     serialize_context,
 )
 from .enumeration import brute_force_concepts, enumerate_concepts, object_concept
-from .errors import ContextError, EmptyCategory, FcaError
+from .errors import BadArgument, ContextError, EmptyCategory, FcaError
 from .lattice import (
     ConceptLattice,
     _covers_pass_neighbour_test,
+    _json_list,
     build_lattice,
     export_dot,
     export_json,
@@ -109,19 +111,24 @@ def _print_concept_lines(ctx: FormalContext, extent, intent, prefix: str = "") -
     print(f"{prefix}intent ({len(intent)}): {_names(ctx, 'attributes', intent)}")
 
 
+_JSON_CONCEPT = '{\n    "id": %d,\n    "extent": %s,\n    "intent": %s\n  }'
+
+
 def _cmd_concepts(ns) -> int:
     ctx = _load_context(ns.context)
     concepts = enumerate_concepts(ctx)
     if ns.format == "json":
-        payload = [
-            {
-                "id": i,
-                "extent": list(ctx.object_names(c.extent)),
-                "intent": list(ctx.attribute_names(c.intent)),
-            }
+        objects = list(map(encode_basestring_ascii, ctx.objects))
+        attributes = list(map(encode_basestring_ascii, ctx.attributes))
+        rendered = [
+            _JSON_CONCEPT % (
+                i,
+                _json_list(map(objects.__getitem__, c.extent), "    "),
+                _json_list(map(attributes.__getitem__, c.intent), "    "),
+            )
             for i, c in enumerate(concepts)
         ]
-        print(json.dumps(payload, indent=2))
+        print(_json_list(rendered, ""))
     else:
         print(f"{len(concepts)} concepts")
         for i, c in enumerate(concepts):
@@ -284,7 +291,7 @@ def _validation_checks(ctx: FormalContext, oracle: bool):
         return _covers_pass_neighbour_test(lat)
 
     def cover_pairwise() -> bool:
-        return lat.cover_edges() == recompute_covers_pairwise(lat)
+        return sorted(lat.cover_edges()) == recompute_covers_pairwise(lat)
 
     def unique_extremes() -> bool:
         tops = [i for i in range(len(lat)) if not lat.upper_covers(i)]
@@ -325,7 +332,7 @@ def _cmd_validate(ns) -> int:
     for label, check in _validation_checks(ctx, ns.oracle):
         try:
             ok = check()
-        except ValueError as exc:  # oracle refused (too many attributes)
+        except BadArgument as exc:  # oracle refused (too many attributes)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"{'ok' if ok else 'FAIL'}: {label}")

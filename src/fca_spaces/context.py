@@ -35,7 +35,7 @@ class AttributeMeta:
 
     def __post_init__(self):
         if self.domain_tag not in DOMAIN_TAGS:
-            raise ValueError(
+            raise ContextError(
                 f"unknown domain tag {self.domain_tag!r}; expected one of {DOMAIN_TAGS}"
             )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import FormalContext, _closure_mask, _extent_mask, _intent_mask
-from .errors import BadIndex
+from .errors import BadArgument, BadIndex
 
 # Exhaustive 2^|M| verification is refused beyond this many attributes.
 BRUTE_FORCE_ATTRIBUTE_LIMIT = 22
@@ -94,7 +94,7 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
     """
     n = len(ctx.attributes)
     if n > BRUTE_FORCE_ATTRIBUTE_LIMIT:
-        raise ValueError(
+        raise BadArgument(
             f"exhaustive enumeration over 2^{n} attribute subsets refused "
             f"(limit {BRUTE_FORCE_ATTRIBUTE_LIMIT} attributes)"
         )

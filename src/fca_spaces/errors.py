@@ -68,6 +68,10 @@ class BadId(FcaError, IndexError):
         super().__init__(f"concept id {concept_id!r} out of range for lattice of {size} concepts")
 
 
+class BadArgument(FcaError, ValueError):
+    """An argument is out of range, or asks for more work than a documented limit allows."""
+
+
 class MixedContext(FcaError, ValueError):
     """An operation mixed concepts, contexts, or lattices that do not belong together."""
 

@@ -10,7 +10,8 @@ not graded.
 from __future__ import annotations
 
 import html
-import json
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from .context import FormalContext, _mask_to_set
 from .enumeration import FormalConcept, attribute_concept, enumerate_concepts, object_concept
@@ -103,10 +104,12 @@ class ConceptLattice:
         return self._levels[self._check_id(concept_id)]
 
     def cover_edges(self) -> list[tuple[int, int]]:
-        """All (lower_id, upper_id) cover pairs, sorted."""
-        return sorted(
-            (low, up) for low, ups in enumerate(self._upper) for up in ups
-        )
+        """All (lower_id, upper_id) cover pairs, sorted.
+
+        Every upper-cover list is ascending, so walking the lists in id
+        order already yields the pairs sorted.
+        """
+        return [(low, up) for low, ups in enumerate(self._upper) for up in ups]
 
     def height(self) -> int:
         """Longest cover path from top to bottom."""
@@ -243,26 +246,50 @@ def _check_same_context(lat: ConceptLattice, ctx: FormalContext) -> None:
         raise MixedContext("lattice was not built from the given context")
 
 
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """JSON list of already rendered values, laid out as ``json.dumps`` with
+    ``indent=2`` lays out a list that opens at ``indent``: one value a line,
+    ``[]`` when there are none."""
+    body = (",\n" + indent + "  ").join(items)
+    return "[\n" + indent + "  " + body + "\n" + indent + "]" if body else "[]"
+
+
+_JSON_CONCEPT = (
+    '{\n      "id": %d,\n      "extent": %s,\n      "intent": %s,\n      "level": %d\n    }'
+)
+_JSON_COVER = "[\n      %d,\n      %d\n    ]"
+_JSON_LATTICE = (
+    '{\n  "objects": %s,\n  "attributes": %s,\n  "concepts": %s,\n'
+    '  "covers": %s,\n  "top": %d,\n  "bottom": %d\n}'
+)
+
+
 def export_json(lat: ConceptLattice, ctx: FormalContext) -> str:
-    """Render the lattice as JSON with stable key order and sorted arrays."""
+    """Render the lattice as JSON with stable key order and sorted arrays.
+
+    The text equals ``json.dumps(payload, indent=2)`` of the documented
+    payload; it is filled into fixed templates, each name escaped once.
+    """
     _check_same_context(lat, ctx)
-    payload = {
-        "objects": list(ctx.objects),
-        "attributes": list(ctx.attributes),
-        "concepts": [
-            {
-                "id": i,
-                "extent": [ctx.objects[g] for g in c.extent],
-                "intent": [ctx.attributes[m] for m in c.intent],
-                "level": lat.level_of(i),
-            }
-            for i, c in enumerate(lat.concepts)
-        ],
-        "covers": [[low, up] for low, up in lat.cover_edges()],
-        "top": lat.top_id,
-        "bottom": lat.bottom_id,
-    }
-    return json.dumps(payload, indent=2)
+    objects = list(map(encode_basestring_ascii, ctx.objects))
+    attributes = list(map(encode_basestring_ascii, ctx.attributes))
+    concepts = [
+        _JSON_CONCEPT % (
+            i,
+            _json_list(map(objects.__getitem__, c.extent), "      "),
+            _json_list(map(attributes.__getitem__, c.intent), "      "),
+            level,
+        )
+        for i, (c, level) in enumerate(zip(lat.concepts, lat._levels))
+    ]
+    return _JSON_LATTICE % (
+        _json_list(objects, "  "),
+        _json_list(attributes, "  "),
+        _json_list(concepts, "  "),
+        _json_list([_JSON_COVER % edge for edge in lat.cover_edges()], "  "),
+        lat.top_id,
+        lat.bottom_id,
+    )
 
 
 def _dot_label(attr_names: list[str], obj_names: list[str]) -> str:

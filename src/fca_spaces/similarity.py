@@ -21,7 +21,7 @@ from .context import (
     _intent_mask,
     _mask_to_set,
 )
-from .errors import EmptyCategory
+from .errors import BadArgument, EmptyCategory
 from .lattice import ConceptLattice, _check_same_context
 
 
@@ -71,7 +71,7 @@ def _undirected(lat: ConceptLattice) -> Callable[[int], tuple[int, ...]]:
 def _walk(lat: ConceptLattice, start: int, steps: int, up: bool) -> frozenset[int]:
     lat._check_id(start)
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise BadArgument(f"steps must be >= 1, got {steps}")
     neighbours = lat._upper if up else lat._lower
     return frozenset(chain.from_iterable(islice(_layers(neighbours.__getitem__, start), steps)))
 
@@ -120,7 +120,7 @@ def similar_concepts(lat: ConceptLattice, concept_id: int, k: int) -> list[Simil
     """
     lat._check_id(concept_id)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise BadArgument(f"k must be >= 1, got {k}")
     own_intent = lat.concepts[concept_id].intent_set
     results: list[SimilarityResult] = []
     for d, layer in enumerate(_layers(_undirected(lat), concept_id), start=1):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fca_spaces import ConceptLattice, build_lattice, cli, golden_csv
 from fca_spaces.cli import run
 
@@ -220,6 +222,15 @@ class TestValidateCommand:
         code, _, err = invoke(capsys, "validate", str(path), "--oracle")
         assert code == 1
         assert "2^25" in err
+
+    def test_check_bug_not_mistaken_for_refusal(self, monkeypatch):
+        # only the oracle's typed refusal is reported; any other error propagates
+        def broken(lat):
+            raise ValueError("bug in a check")
+
+        monkeypatch.setattr(cli, "_covers_pass_neighbour_test", broken)
+        with pytest.raises(ValueError, match="bug in a check"):
+            run(["validate", "ninapro-abc"])
 
 
 class TestContextLoading:

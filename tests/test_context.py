@@ -160,6 +160,8 @@ class TestConstruction:
     def test_meta_bad_tag(self):
         with pytest.raises(ValueError):
             AttributeMeta("Colour")
+        with pytest.raises(ContextError, match="Colour"):
+            AttributeMeta("Colour")
 
     def test_meta_index_out_of_bounds(self):
         with pytest.raises(BadIndex):

@@ -4,6 +4,7 @@ import pytest
 
 from fca_spaces import (
     BadIndex,
+    FcaError,
     FormalConcept,
     FormalContext,
     attribute_concept,
@@ -153,6 +154,8 @@ class TestBruteForce:
     def test_refuses_large_contexts(self):
         ctx = make_context([], 23)
         with pytest.raises(ValueError):
+            brute_force_concepts(ctx)
+        with pytest.raises(FcaError):
             brute_force_concepts(ctx)
 
     def test_small_agreement(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -12,6 +13,7 @@ from fca_spaces import (
     export_dot,
     export_json,
     leq,
+    ninapro_abc,
     ninapro_grasp,
     object_concept,
 )
@@ -297,3 +299,21 @@ class TestExportDot:
         dot = export_dot(grasp_lat, grasp_ctx)
         assert dot.startswith("digraph")
         assert "rankdir=BT" in dot
+
+
+# SHA-256 of the exports of the bundled tables, recorded from the
+# json.dumps-based exporter; any byte change in either format fails here.
+GOLDEN_EXPORT_SHA256 = {
+    ("ninapro-abc", "json"): "347d4aca2dc2d6be61f73900fd7e907ff9f007f4a22159be9d25d69a648e8c07",
+    ("ninapro-abc", "dot"): "88bb419d0cc423d01567ebc267ec3d0bd68ac7fb9305cd46748365380cf5b243",
+    ("ninapro-grasp", "json"): "e9dcde4b2a48cc6d7069470901653e9cc33efdeffaae87f617d2d4bbbe2be5f9",
+    ("ninapro-grasp", "dot"): "17691762a092b9d4ef65d960fdcae5c56e25c6c1293aae8c71b45268919bb4f5",
+}
+
+
+@pytest.mark.parametrize("corpus, fmt", sorted(GOLDEN_EXPORT_SHA256))
+def test_golden_export_bytes(corpus, fmt):
+    ctx = {"ninapro-abc": ninapro_abc, "ninapro-grasp": ninapro_grasp}[corpus]()
+    exporter = {"json": export_json, "dot": export_dot}[fmt]
+    text = exporter(build_lattice(ctx), ctx)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_EXPORT_SHA256[corpus, fmt]

@@ -1,15 +1,22 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from fca_spaces import (
     ConceptLattice,
+    FormalContext,
     build_lattice,
     closure_attributes,
     derive_extent,
     derive_intent,
     enumerate_concepts,
+    export_json,
     generalize,
     lattice_distance,
     nearest_concept,
@@ -18,6 +25,7 @@ from fca_spaces import (
     similar_concepts,
     specialize,
 )
+from fca_spaces import cli
 from fca_spaces.lattice import _covers_pass_neighbour_test
 from conftest import contexts, make_context, random_context, rows_of
 from reference import ref_distances, ref_hasse_edges, ref_levels, ref_sorted_concepts
@@ -246,3 +254,63 @@ def test_concept_count_permutation_invariant(ctx, rnd):
         len(ctx.attributes),
     )
     assert len(enumerate_concepts(shuffled)) == base
+
+
+# Names that stress JSON escaping: quotes, backslashes, interior tabs and
+# NULs, non-ASCII and astral-plane characters.  Commas, line breaks and
+# surrounding whitespace are outside the context name rules.
+_NAME_CHARS = st.one_of(
+    st.sampled_from(["a", '"', "\\", "\t", "\x00", "\x1f", " ", "é", "☃", "\U0001F600"]),
+    st.characters(blacklist_characters=",\n\r"),
+)
+_NAMES = st.text(_NAME_CHARS, min_size=1, max_size=4).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def named_contexts(draw, max_objects=6, max_attributes=6):
+    objects = draw(st.lists(_NAMES, max_size=max_objects, unique=True))
+    attributes = draw(st.lists(_NAMES, max_size=max_attributes, unique=True))
+    rows = st.frozensets(st.integers(0, len(attributes) - 1)) if attributes else st.just(frozenset())
+    incidence = frozenset((g, m) for g in range(len(objects)) for m in draw(rows))
+    return FormalContext(tuple(objects), tuple(attributes), incidence)
+
+
+def _concept_payload(ctx, i, c):
+    return {
+        "id": i,
+        "extent": [ctx.objects[g] for g in c.extent],
+        "intent": [ctx.attributes[m] for m in c.intent],
+    }
+
+
+@given(named_contexts())
+@settings(deadline=None)
+def test_export_json_equals_json_dumps(ctx):
+    # json.dumps of the documented payload is the oracle for the emitter
+    lat = build_lattice(ctx)
+    payload = {
+        "objects": list(ctx.objects),
+        "attributes": list(ctx.attributes),
+        "concepts": [
+            {**_concept_payload(ctx, i, c), "level": lat.level_of(i)}
+            for i, c in enumerate(lat.concepts)
+        ],
+        "covers": [[low, up] for low, up in sorted(lat.cover_edges())],
+        "top": lat.top_id,
+        "bottom": lat.bottom_id,
+    }
+    assert export_json(lat, ctx) == json.dumps(payload, indent=2)
+
+
+@given(named_contexts())
+@settings(deadline=None)
+def test_cli_concepts_json_equals_json_dumps(ctx):
+    payload = [_concept_payload(ctx, i, c) for i, c in enumerate(enumerate_concepts(ctx))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ctx.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(serialize_context(ctx))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["concepts", path, "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -7,6 +7,7 @@ from fca_spaces import (
     BadId,
     BadIndex,
     EmptyCategory,
+    FcaError,
     FormalContext,
     MixedContext,
     build_lattice,
@@ -21,6 +22,7 @@ from fca_spaces import (
     similar_concepts,
     specialize,
 )
+from fca_spaces.errors import BadArgument
 from conftest import make_context, random_context
 
 
@@ -76,6 +78,10 @@ class TestGeneralizeSpecialize:
         with pytest.raises(ValueError):
             generalize(abc_lat, 0, 0)
         with pytest.raises(ValueError):
+            specialize(abc_lat, 0, -1)
+        with pytest.raises(BadArgument):
+            generalize(abc_lat, 0, 0)
+        with pytest.raises(FcaError):
             specialize(abc_lat, 0, -1)
 
     def test_bad_id(self, abc_lat):
@@ -172,6 +178,10 @@ class TestSimilarConcepts:
 
     def test_k_must_be_positive(self, grasp_lat):
         with pytest.raises(ValueError):
+            similar_concepts(grasp_lat, 0, 0)
+        with pytest.raises(BadArgument):
+            similar_concepts(grasp_lat, 0, -3)
+        with pytest.raises(FcaError):
             similar_concepts(grasp_lat, 0, 0)
 
     def test_jaccard_empty_sets(self):
