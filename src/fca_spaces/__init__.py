@@ -44,7 +44,7 @@ from .errors import (
     MixedContext,
     RaggedRow,
 )
-from .lattice import ConceptLattice, build_lattice, export_dot, export_json, leq
+from .lattice import ConceptLattice, build_lattice, export_dot, export_json
 from .similarity import (
     SimilarityResult,
     generalize,
@@ -78,7 +78,6 @@ __all__ = [
     "object_concept",
     "attribute_concept",
     "build_lattice",
-    "leq",
     "export_json",
     "export_dot",
     "generalize",

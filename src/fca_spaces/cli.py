@@ -67,7 +67,11 @@ class _QueryError(Exception):
 def _load_context(source: str) -> FormalContext:
     if source in corpus_mod.CORPUS_BUILDERS:
         return corpus_mod.CORPUS_BUILDERS[source]()
-    with open(source, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(source, "r", encoding="utf-8")
+    except ValueError as exc:  # a path with a NUL byte or a lone surrogate
+        raise OSError(exc) from None
+    with fh:
         return parse_context(fh.read())
 
 

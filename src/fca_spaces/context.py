@@ -49,6 +49,10 @@ def _check_name(kind: str, name: str) -> None:
         raise InvalidName(kind, name, "commas are reserved as the CSV cell separator")
     if "\n" in name or "\r" in name:
         raise InvalidName(kind, name, "line breaks are not allowed in names")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # strict UTF-8 refuses exactly U+D800-U+DFFF
+        raise InvalidName(kind, name, "lone surrogates cannot be written as UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -152,18 +156,38 @@ class FormalContext:
 
     def object_names(self, indices: Iterable[int]) -> tuple[str, ...]:
         """Names for the given object indices, in context (index) order."""
-        return tuple(self.objects[g] for g in sorted(set(indices)))
+        return _names_at(self.objects, "object", indices)
 
     def attribute_names(self, indices: Iterable[int]) -> tuple[str, ...]:
         """Names for the given attribute indices, in context (index) order."""
-        return tuple(self.attributes[m] for m in sorted(set(indices)))
+        return _names_at(self.attributes, "attribute", indices)
 
     def domain_tag(self, m: int) -> str | None:
-        if not 0 <= m < len(self.attributes):
+        if not isinstance(m, int) or not 0 <= m < len(self.attributes):
             raise BadIndex("attribute", m, len(self.attributes))
         if self.attribute_meta and m in self.attribute_meta:
             return self.attribute_meta[m].domain_tag
         return None
+
+
+def _names_at(names: tuple[str, ...], kind: str, indices: Iterable[int]) -> tuple[str, ...]:
+    """The names at ``indices``, in index order.
+
+    Only the two ends of the sorted indices are checked, so that long extents
+    pay no per-index test: ints in range at both ends bound every index
+    between them, and anything between them that is not an index makes the
+    sort or the lookup raise TypeError.
+    """
+    n = len(names)
+    unique = set(indices)
+    try:
+        ordered = sorted(unique)
+        for i in ordered[:1] + ordered[-1:]:
+            if not isinstance(i, int) or not 0 <= i < n:
+                raise BadIndex(kind, i, n)
+        return tuple(map(names.__getitem__, ordered))
+    except TypeError:
+        raise BadIndex(kind, next(i for i in unique if not isinstance(i, int)), n) from None
 
 
 def _object_set_to_mask(ctx: FormalContext, objs: Iterable[int]) -> int:
@@ -186,13 +210,14 @@ def _attribute_set_to_mask(ctx: FormalContext, attrs: Iterable[int]) -> int:
     return mask
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
+def _mask_to_indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return tuple(out)
 
 
 def _intent_mask(ctx: FormalContext, object_mask: int) -> int:
@@ -231,7 +256,7 @@ def derive_intent(ctx: FormalContext, objs: Iterable[int]) -> frozenset[int]:
     The empty object set derives to the full attribute set.  Antitone:
     more objects can only shrink the result.
     """
-    return _mask_to_set(_intent_mask(ctx, _object_set_to_mask(ctx, objs)))
+    return frozenset(_mask_to_indices(_intent_mask(ctx, _object_set_to_mask(ctx, objs))))
 
 
 def derive_extent(ctx: FormalContext, attrs: Iterable[int]) -> frozenset[int]:
@@ -239,7 +264,7 @@ def derive_extent(ctx: FormalContext, attrs: Iterable[int]) -> frozenset[int]:
 
     The empty attribute set derives to the full object set.  Antitone.
     """
-    return _mask_to_set(_extent_mask(ctx, _attribute_set_to_mask(ctx, attrs)))
+    return frozenset(_mask_to_indices(_extent_mask(ctx, _attribute_set_to_mask(ctx, attrs))))
 
 
 def closure_attributes(ctx: FormalContext, attrs: Iterable[int]) -> frozenset[int]:
@@ -247,7 +272,7 @@ def closure_attributes(ctx: FormalContext, attrs: Iterable[int]) -> frozenset[in
 
     A closure operator: extensive, monotone, and idempotent.
     """
-    return _mask_to_set(_closure_mask(ctx, _attribute_set_to_mask(ctx, attrs)))
+    return frozenset(_mask_to_indices(_closure_mask(ctx, _attribute_set_to_mask(ctx, attrs))))
 
 
 def parse_context(text: str) -> FormalContext:

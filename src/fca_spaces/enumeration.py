@@ -10,9 +10,9 @@ fixes concept ids everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .context import FormalContext, _closure_mask, _extent_mask, _intent_mask
+from .context import FormalContext, _closure_mask, _extent_mask, _intent_mask, _mask_to_indices
 from .errors import BadArgument, BadIndex
 
 # Exhaustive 2^|M| verification is refused beyond this many attributes.
@@ -21,10 +21,22 @@ BRUTE_FORCE_ATTRIBUTE_LIMIT = 22
 
 @dataclass(frozen=True)
 class FormalConcept:
-    """A closed (extent, intent) pair; both sides stored sorted by index."""
+    """A closed (extent, intent) pair, held as object and attribute bitmasks.
 
-    extent: tuple[int, ...]
-    intent: tuple[int, ...]
+    Equality and hashing use the masks.  ``extent`` and ``intent`` are the
+    same sets as index tuples sorted ascending, derived once at construction.
+    """
+
+    # Out of repr: a mask over more than about 14,000 objects has more
+    # decimal digits than Python's int-to-str conversion allows.
+    extent_mask: int = field(repr=False)
+    intent_mask: int = field(repr=False)
+    extent: tuple[int, ...] = field(init=False, compare=False)
+    intent: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "extent", _mask_to_indices(self.extent_mask))
+        object.__setattr__(self, "intent", _mask_to_indices(self.intent_mask))
 
     @property
     def extent_set(self) -> frozenset[int]:
@@ -33,19 +45,6 @@ class FormalConcept:
     @property
     def intent_set(self) -> frozenset[int]:
         return frozenset(self.intent)
-
-
-def _mask_to_sorted(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _concept_from_masks(extent_mask: int, intent_mask: int) -> FormalConcept:
-    return FormalConcept(_mask_to_sorted(extent_mask), _mask_to_sorted(intent_mask))
 
 
 def _intent_masks_nextclosure(ctx: FormalContext) -> list[int]:
@@ -69,8 +68,8 @@ def _intent_masks_nextclosure(ctx: FormalContext) -> list[int]:
 
 
 def _sort_concept_pairs(pairs: list[tuple[int, int]]) -> list[FormalConcept]:
-    concepts = [_concept_from_masks(e, i) for e, i in pairs]
-    concepts.sort(key=lambda c: (-len(c.extent), c.intent))
+    concepts = [FormalConcept(e, i) for e, i in pairs]
+    concepts.sort(key=lambda c: (-c.extent_mask.bit_count(), c.intent))
     return concepts
 
 
@@ -105,18 +104,18 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
 
 def object_concept(ctx: FormalContext, g: int) -> FormalConcept:
     """The most specific concept whose extent contains object ``g``."""
-    if not 0 <= g < len(ctx.objects):
+    if not isinstance(g, int) or not 0 <= g < len(ctx.objects):
         raise BadIndex("object", g, len(ctx.objects))
     intent = _intent_mask(ctx, 1 << g)
-    return _concept_from_masks(_extent_mask(ctx, intent), intent)
+    return FormalConcept(_extent_mask(ctx, intent), intent)
 
 
 def attribute_concept(ctx: FormalContext, m: int) -> FormalConcept:
     """The most general concept whose intent contains attribute ``m``."""
-    if not 0 <= m < len(ctx.attributes):
+    if not isinstance(m, int) or not 0 <= m < len(ctx.attributes):
         raise BadIndex("attribute", m, len(ctx.attributes))
     extent = _extent_mask(ctx, 1 << m)
-    return _concept_from_masks(extent, _intent_mask(ctx, extent))
+    return FormalConcept(extent, _intent_mask(ctx, extent))
 
 
 __all__ = [

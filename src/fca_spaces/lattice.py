@@ -13,18 +13,9 @@ import html
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from .context import FormalContext, _mask_to_set
+from .context import FormalContext, _mask_to_indices
 from .enumeration import FormalConcept, attribute_concept, enumerate_concepts, object_concept
 from .errors import BadId, MixedContext
-
-
-def leq(a: FormalConcept, b: FormalConcept) -> bool:
-    """Subconcept test: true iff extent(a) is contained in extent(b).
-
-    Both concepts must come from the same context; this free function cannot
-    check that, :meth:`ConceptLattice.leq` can.
-    """
-    return a.extent_set <= b.extent_set
 
 
 class ConceptLattice:
@@ -51,11 +42,7 @@ class ConceptLattice:
         self._levels = tuple(levels)
         self.top_id = top_id
         self.bottom_id = bottom_id
-        self._extent_masks = tuple(
-            sum(1 << g for g in c.extent) for c in self.concepts
-        )
-        self._id_by_intent = {c.intent: i for i, c in enumerate(self.concepts)}
-        self._id_by_extent = {m: i for i, m in enumerate(self._extent_masks)}
+        self._id_by_extent = {c.extent_mask: i for i, c in enumerate(self.concepts)}
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -73,7 +60,7 @@ class ConceptLattice:
     def index_of(self, concept: FormalConcept) -> int:
         """Id of ``concept`` in this lattice; MixedContext if it is foreign."""
         try:
-            found = self._id_by_intent[concept.intent]
+            found = self._id_by_extent[concept.extent_mask]
         except (KeyError, TypeError):
             raise MixedContext(f"concept {concept!r} does not belong to this lattice") from None
         if self.concepts[found] != concept:
@@ -87,8 +74,8 @@ class ConceptLattice:
 
     def leq(self, a: FormalConcept | int, b: FormalConcept | int) -> bool:
         """Order test on ids or concepts of this lattice."""
-        ma = self._extent_masks[self._resolve(a)]
-        mb = self._extent_masks[self._resolve(b)]
+        ma = self.concepts[self._resolve(a)].extent_mask
+        mb = self.concepts[self._resolve(b)].extent_mask
         return ma & mb == ma
 
     def upper_covers(self, concept_id: int) -> tuple[int, ...]:
@@ -120,7 +107,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Order the concepts of ``ctx`` into their Hasse diagram."""
     concepts = enumerate_concepts(ctx)
     n = len(concepts)
-    extent_masks = [sum(1 << g for g in c.extent) for c in concepts]
+    extent_masks = [c.extent_mask for c in concepts]
     id_by_extent = {mask: i for i, mask in enumerate(extent_masks)}
     cols = ctx._col_masks
 
@@ -184,7 +171,7 @@ def recompute_covers_pairwise(lat: ConceptLattice) -> list[tuple[int, int]]:
     the oracle that construction is checked against; backs
     ``fca validate --oracle``.
     """
-    masks = lat._extent_masks
+    masks = [c.extent_mask for c in lat.concepts]
     n = len(masks)
 
     def less(x: int, y: int) -> bool:
@@ -217,8 +204,8 @@ def _covers_pass_neighbour_test(lat: ConceptLattice) -> bool:
     cubic in the concept count.
     """
     rows = lat.context._row_masks
-    extents = lat._extent_masks
-    intents = [sum(1 << m for m in c.intent) for c in lat.concepts]
+    extents = [c.extent_mask for c in lat.concepts]
+    intents = [c.intent_mask for c in lat.concepts]
     inverse: list[list[int]] = [[] for _ in extents]
     for a, (ext_a, int_a) in enumerate(zip(extents, intents)):
         ups = lat._upper[a]
@@ -228,7 +215,7 @@ def _covers_pass_neighbour_test(lat: ConceptLattice) -> bool:
             added = extents[b] & ~ext_a
             if not added or extents[b] & ext_a != ext_a:
                 return False
-            if any(int_a & rows[g] != intents[b] for g in _mask_to_set(added)):
+            if any(int_a & rows[g] != intents[b] for g in _mask_to_indices(added)):
                 return False
             inverse[b].append(a)
         # Objects inside A give B itself, and only they do, A being B'.
@@ -344,7 +331,6 @@ def export_dot(lat: ConceptLattice, ctx: FormalContext) -> str:
 __all__ = [
     "ConceptLattice",
     "build_lattice",
-    "leq",
     "recompute_covers_pairwise",
     "export_json",
     "export_dot",

@@ -19,7 +19,7 @@ from .context import (
     _attribute_set_to_mask,
     _extent_mask,
     _intent_mask,
-    _mask_to_set,
+    _mask_to_indices,
 )
 from .errors import BadArgument, EmptyCategory
 from .lattice import ConceptLattice, _check_same_context
@@ -70,8 +70,8 @@ def _undirected(lat: ConceptLattice) -> Callable[[int], tuple[int, ...]]:
 
 def _walk(lat: ConceptLattice, start: int, steps: int, up: bool) -> frozenset[int]:
     lat._check_id(start)
-    if steps < 1:
-        raise BadArgument(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, int) or steps < 1:
+        raise BadArgument(f"steps must be an int >= 1, got {steps!r}")
     neighbours = lat._upper if up else lat._lower
     return frozenset(chain.from_iterable(islice(_layers(neighbours.__getitem__, start), steps)))
 
@@ -119,8 +119,8 @@ def similar_concepts(lat: ConceptLattice, concept_id: int, k: int) -> list[Simil
     neighbourhood visited rather than the size of the lattice.
     """
     lat._check_id(concept_id)
-    if k < 1:
-        raise BadArgument(f"k must be >= 1, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise BadArgument(f"k must be an int >= 1, got {k!r}")
     own_intent = lat.concepts[concept_id].intent_set
     results: list[SimilarityResult] = []
     for d, layer in enumerate(_layers(_undirected(lat), concept_id), start=1):
@@ -157,13 +157,13 @@ def prototype(ctx: FormalContext, category: Iterable[int]) -> int:
     mask = _attribute_set_to_mask(ctx, category)
     extent = _extent_mask(ctx, mask)
     if not extent:
-        raise EmptyCategory(ctx.attributes[m] for m in _mask_to_set(mask))
-    closure = _mask_to_set(_intent_mask(ctx, extent))
+        raise EmptyCategory(ctx.attributes[m] for m in _mask_to_indices(mask))
+    closure = frozenset(_mask_to_indices(_intent_mask(ctx, extent)))
 
     best_g = -1
     best_score = Fraction(-1)
-    for g in sorted(_mask_to_set(extent)):
-        score = intent_jaccard(_mask_to_set(ctx._row_masks[g]), closure)
+    for g in _mask_to_indices(extent):
+        score = intent_jaccard(_mask_to_indices(ctx._row_masks[g]), closure)
         if score > best_score:
             best_g, best_score = g, score
     return best_g

@@ -246,6 +246,14 @@ class TestContextLoading:
         assert code == 2
         assert err
 
+    def test_unopenable_path(self, capsys):
+        # open() raises ValueError, not OSError, for these paths
+        for path in ("a\x00b", "a\ud800b"):
+            code, out, err = invoke(capsys, "concepts", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("cannot read context: ")
+
     def test_undecodable_file(self, tmp_path, capsys):
         path = tmp_path / "latin.csv"
         path.write_bytes(",caf\xe9\ng1,1\n".encode("latin-1"))

@@ -63,6 +63,20 @@ class TestParse:
             parse_context("\ufeff,m1\ng1,1\n")
         assert (exc.value.row, exc.value.column) == (0, 0)
 
+    def test_crlf_and_tab_padding_parse_like_lf(self):
+        # CR and tabs are whitespace around cells, so they are trimmed away
+        lf = ",m1,m2\ng1,1,0\ng2,0,1\n"
+        crlf = lf.replace("\n", "\r\n")
+        tabbed = ",\tm1,m2\t\ng1\t,1,\t0\ng2,\t0\t,1\n"
+        assert parse_context(crlf) == parse_context(tabbed) == parse_context(lf)
+        assert serialize_context(parse_context(crlf)) == lf
+
+    def test_lone_surrogate_name_rejected(self):
+        # the name could not be written back as UTF-8
+        for text in (",m\ud800\ng1,1\n", ",m\ng\udfff,1\n"):
+            with pytest.raises(InvalidName, match="surrogate"):
+                parse_context(text)
+
     def test_empty_attribute_header_rejected(self):
         with pytest.raises(MalformedCell):
             parse_context(",m1,\ng1,1,0\n")
@@ -127,6 +141,14 @@ class TestConstruction:
     def test_newline_in_name_rejected(self):
         with pytest.raises(InvalidName):
             FormalContext(("g",), ("m\nx",), frozenset())
+
+    def test_lone_surrogate_name_rejected(self):
+        with pytest.raises(InvalidName, match="surrogate"):
+            FormalContext(("g\ud800",), ("m",), frozenset())
+        with pytest.raises(InvalidName, match="surrogate"):
+            FormalContext(("g",), ("\udc80m",), frozenset())
+        # an astral character is one code point in a str, not a surrogate pair
+        FormalContext(("g\U0001F600",), ("m",), frozenset())
 
     def test_incidence_out_of_bounds(self):
         with pytest.raises(BadIndex):
@@ -239,6 +261,18 @@ class TestMeta:
         assert abc_ctx.domain_tag(abc_ctx.attribute_index("Abduction")) == "Forces"
         assert grasp_ctx.domain_tag(grasp_ctx.attribute_index("Power")) == "Grasp"
         assert grasp_ctx.domain_tag(grasp_ctx.attribute_index("Adduction")) == "Forces"
+
+    @pytest.mark.parametrize("index", [-1, 17, 0.0, "0"])
+    def test_domain_tag_bad_index(self, abc_ctx, index):
+        with pytest.raises(BadIndex):
+            abc_ctx.domain_tag(index)
+
+    @pytest.mark.parametrize("indices", [[-1], [19], [0, 99], [0.0], ["0"], ["0", 1], [0, 0.5, 2]])
+    def test_names_bad_index(self, abc_ctx, indices):
+        with pytest.raises(BadIndex):
+            abc_ctx.object_names(indices)
+        with pytest.raises(BadIndex):
+            abc_ctx.attribute_names(indices)
 
     def test_unknown_names(self, abc_ctx):
         with pytest.raises(KeyError):

@@ -126,6 +126,11 @@ class TestObjectAttributeConcepts:
             object_concept(abc_ctx, 19)
         with pytest.raises(BadIndex):
             attribute_concept(abc_ctx, -1)
+        for index in (0.0, "0"):
+            with pytest.raises(BadIndex):
+                object_concept(abc_ctx, index)
+            with pytest.raises(BadIndex):
+                attribute_concept(abc_ctx, index)
 
 
 class TestOracleEquivalence:
@@ -180,3 +185,21 @@ def test_concepts_are_sorted_tuples():
         assert list(c.extent) == sorted(c.extent)
         assert list(c.intent) == sorted(c.intent)
         assert isinstance(c, FormalConcept)
+        assert c.extent_mask == sum(1 << g for g in c.extent)
+        assert c.intent_mask == sum(1 << m for m in c.intent)
+
+
+def test_repr_of_wide_concept():
+    # a 15,000-bit mask has more decimal digits than int-to-str allows,
+    # so repr (and every error message quoting a concept) shows tuples only
+    n = 15000
+    ctx = FormalContext(tuple(f"g{g}" for g in range(n)), ("m",), frozenset((g, 0) for g in range(n)))
+    assert repr(attribute_concept(ctx, 0)).startswith("FormalConcept(extent=(0, 1, 2, ")
+
+
+def test_constructor_takes_masks_not_index_tuples():
+    c = FormalConcept(0b101, 0b10)
+    assert (c.extent, c.intent) == ((0, 2), (1,))
+    assert c == FormalConcept(0b101, 0b10) and hash(c) == hash(FormalConcept(0b101, 0b10))
+    with pytest.raises(TypeError):
+        FormalConcept((0, 2), (1,))

@@ -12,7 +12,6 @@ from fca_spaces import (
     build_lattice,
     export_dot,
     export_json,
-    leq,
     ninapro_abc,
     ninapro_grasp,
     object_concept,
@@ -80,7 +79,6 @@ class TestOrder:
         a = object_concept(abc_ctx, abc_ctx.object_index("Ex3 Act9"))
         b = attribute_concept(abc_ctx, abc_ctx.attribute_index("Wrist"))
         assert abc_lat.leq(a, b)
-        assert leq(a, b)
 
     def test_leq_matches_extent_containment(self, grasp_lat):
         for i in range(len(grasp_lat)):

@@ -6,10 +6,12 @@ import random
 import tempfile
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fca_spaces import (
     ConceptLattice,
+    ContextError,
     FormalContext,
     build_lattice,
     closure_attributes,
@@ -257,11 +259,11 @@ def test_concept_count_permutation_invariant(ctx, rnd):
 
 
 # Names that stress JSON escaping: quotes, backslashes, interior tabs and
-# NULs, non-ASCII and astral-plane characters.  Commas, line breaks and
-# surrounding whitespace are outside the context name rules.
+# NULs, non-ASCII and astral-plane characters.  Commas, line breaks,
+# surrounding whitespace and lone surrogates are outside the context name rules.
 _NAME_CHARS = st.one_of(
     st.sampled_from(["a", '"', "\\", "\t", "\x00", "\x1f", " ", "é", "☃", "\U0001F600"]),
-    st.characters(blacklist_characters=",\n\r"),
+    st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
 )
 _NAMES = st.text(_NAME_CHARS, min_size=1, max_size=4).filter(lambda s: s == s.strip())
 
@@ -314,3 +316,63 @@ def test_cli_concepts_json_equals_json_dumps(ctx):
         with contextlib.redirect_stdout(out):
             assert cli.run(["concepts", path, "--format", "json"]) == 0
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+# Fuzzing: arbitrary text, biased toward the characters the CSV format uses.
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(list(",01 \t\r\n\ufeffgm")), st.characters()))
+
+
+@given(_CSV_TEXT)
+@settings(deadline=None)
+def test_parse_context_returns_context_or_context_error(text):
+    try:
+        ctx = parse_context(text)
+    except ContextError:
+        return
+    assert isinstance(ctx, FormalContext)
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ctx.csv"
+    path.write_text(",m0,m1,m2\ng0,1,0,1\ng1,1,1,0\ng2,0,1,1\n", encoding="utf-8")
+    return str(path)
+
+
+_COMMANDS = (
+    "concepts", "lattice", "query", "similar", "siblings", "prototype", "corpus",
+    "verify-cases", "validate",
+)
+_FLAGS = ("--format", "--attributes", "--object", "-k")
+_OPTIONS = (
+    ("--format", "json"), ("--format", "dot"), ("--attributes", "m0,m2"),
+    ("--attributes", "Wrist,Rotate"), ("--object", "g1"), ("--object", "Ex1 Act1-"),
+    ("-k", "2"), ("-k", "0"), ("--oracle",), ("--help",),
+)
+
+
+@st.composite
+def cli_argvs(draw, csv_path):
+    """A command, a context and up to three options, each known or arbitrary text."""
+    command = draw(st.one_of(st.sampled_from(_COMMANDS), st.text()))
+    source = draw(st.one_of(st.sampled_from(("ninapro-abc", "ninapro-grasp", csv_path)), st.text()))
+    option = st.one_of(
+        st.sampled_from(_OPTIONS),
+        st.tuples(st.sampled_from(_FLAGS), st.text()),
+        st.tuples(st.text()),
+    )
+    options = draw(st.lists(option, max_size=3))
+    return [command, source, *(word for opt in options for word in opt)]
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_cli_run_returns_documented_exit_code(small_csv, data):
+    argv = data.draw(cli_argvs(small_csv))
+    # the exhaustive oracle on ninapro-abc closes 2^17 subsets: too slow per example
+    assume(not {"--oracle", "ninapro-abc"} <= set(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in {0, 1, 2, 3}
+    out.getvalue().encode("utf-8")  # stdout is written as UTF-8

@@ -83,6 +83,8 @@ class TestGeneralizeSpecialize:
             generalize(abc_lat, 0, 0)
         with pytest.raises(FcaError):
             specialize(abc_lat, 0, -1)
+        with pytest.raises(BadArgument):
+            generalize(abc_lat, 5, 1.5)
 
     def test_bad_id(self, abc_lat):
         with pytest.raises(BadId):
@@ -183,6 +185,8 @@ class TestSimilarConcepts:
             similar_concepts(grasp_lat, 0, -3)
         with pytest.raises(FcaError):
             similar_concepts(grasp_lat, 0, 0)
+        with pytest.raises(BadArgument):
+            similar_concepts(grasp_lat, 0, 2.5)
 
     def test_jaccard_empty_sets(self):
         assert intent_jaccard(frozenset(), frozenset()) == Fraction(1)
