@@ -33,6 +33,7 @@ from .enumeration import (
     object_concept,
 )
 from .errors import (
+    BadArgument,
     BadId,
     BadIndex,
     ContextError,
@@ -101,6 +102,7 @@ __all__ = [
     "RaggedRow",
     "BadIndex",
     "BadId",
+    "BadArgument",
     "MixedContext",
     "EmptyCategory",
 ]

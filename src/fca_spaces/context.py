@@ -124,11 +124,11 @@ class FormalContext:
             masks[m] |= 1 << g
         return tuple(masks)
 
-    @property
+    @cached_property
     def _all_objects_mask(self) -> int:
         return (1 << len(self.objects)) - 1
 
-    @property
+    @cached_property
     def _all_attributes_mask(self) -> int:
         return (1 << len(self.attributes)) - 1
 
@@ -176,18 +176,18 @@ def _names_at(names: tuple[str, ...], kind: str, indices: Iterable[int]) -> tupl
     Only the two ends of the sorted indices are checked, so that long extents
     pay no per-index test: ints in range at both ends bound every index
     between them, and anything between them that is not an index makes the
-    sort or the lookup raise TypeError.
+    set, the sort or the lookup raise TypeError.
     """
     n = len(names)
-    unique = set(indices)
+    indices = tuple(indices)  # no copy for a tuple; the error path reads it again
     try:
-        ordered = sorted(unique)
+        ordered = sorted(set(indices))
         for i in ordered[:1] + ordered[-1:]:
             if not isinstance(i, int) or not 0 <= i < n:
                 raise BadIndex(kind, i, n)
         return tuple(map(names.__getitem__, ordered))
     except TypeError:
-        raise BadIndex(kind, next(i for i in unique if not isinstance(i, int)), n) from None
+        raise BadIndex(kind, next(i for i in indices if not isinstance(i, int)), n) from None
 
 
 def _object_set_to_mask(ctx: FormalContext, objs: Iterable[int]) -> int:
@@ -211,17 +211,41 @@ def _attribute_set_to_mask(ctx: FormalContext, attrs: Iterable[int]) -> int:
 
 
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
+    """Positions of the set bits of ``mask``, ascending.
+
+    Peeling the lowest bit copies the mask once per set bit, which is
+    quadratic in its width; past 512 bits one linear scan of its binary
+    digits is cheaper.  ``int.bit_length`` raises TypeError for a non-int.
+    """
+    if int.bit_length(mask) <= 512:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    digits = bin(mask)[:1:-1]  # least significant first, "0b" dropped
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return tuple(out)
 
 
 def _intent_mask(ctx: FormalContext, object_mask: int) -> int:
-    """Attributes common to every object in the mask (all attributes for the empty mask)."""
+    """Attributes common to every object in the mask (all attributes for the empty mask).
+
+    Folding rows costs a step per object and testing columns a step per
+    attribute, so past ``2 * |M|`` objects the attributes whose column
+    contains the whole mask are collected instead.
+    """
+    if object_mask.bit_count() > 2 * len(ctx.attributes):
+        result = 0
+        for m, col in enumerate(ctx._col_masks):
+            if object_mask & col == object_mask:
+                result |= 1 << m
+        return result
     result = ctx._all_attributes_mask
     rows = ctx._row_masks
     while object_mask:

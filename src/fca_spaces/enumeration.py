@@ -1,11 +1,21 @@
 """Enumeration of all formal concepts of a context.
 
-The worker is NextClosure: closures are visited in lectic order of their
-intents, one closure computation per candidate attribute, with constant
-stack depth regardless of how many concepts the context has.  The final
-list is re-sorted into the package-wide output order (extent size
-descending, then intent lexicographic by attribute index), which is what
-fixes concept ids everywhere else.
+The worker is FCbO (Outrata and Vychodil, "Fast algorithm for computing
+fixpoints of Galois connections induced by object-attribute relational
+data", Inf. Sci. 185, 2012).  It grows each concept by one attribute ``j``
+at a time, intersecting the extent with column ``j`` and deriving the new
+intent, and keeps a child only when the closure adds no attribute below
+``j`` (canonicity), so every concept is generated exactly once.  Each
+expanded concept leaves its children an array of the closures that failed
+that test, per attribute; a child skips attribute ``j`` without computing
+anything when that failed closure, restricted below ``j``, is not inside
+its own intent.  An explicit stack replaces the recursion, so depth is not
+bounded by Python's recursion limit, and the output is (extent, intent)
+mask pairs, so no extent is derived again from its intent.
+
+The final list is re-sorted into the package-wide output order (extent
+size descending, then intent lexicographic by attribute index), which is
+what fixes concept ids everywhere else.
 """
 
 from __future__ import annotations
@@ -47,24 +57,40 @@ class FormalConcept:
         return frozenset(self.intent)
 
 
-def _intent_masks_nextclosure(ctx: FormalContext) -> list[int]:
+def _concept_pairs_fcbo(ctx: FormalContext) -> list[tuple[int, int]]:
     n = len(ctx.attributes)
     full = (1 << n) - 1
-    intents = []
-    a = _closure_mask(ctx, 0)
-    intents.append(a)
-    while a != full:
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if a & bit:
-                a ^= bit
+    cols = ctx._col_masks
+    top_extent = ctx._all_objects_mask
+    top_intent = _intent_mask(ctx, top_extent)
+    pairs = [(top_extent, top_intent)]
+    # Concepts still to expand: (extent, intent, first attribute to try,
+    # the failed closures their parent left them).
+    stack = [(top_extent, top_intent, 0, [0] * n)]
+    while stack:
+        extent, intent, start, failed = stack.pop()
+        if intent == full:
+            continue
+        # Shared by the children, which are popped only after the loop below
+        # has recorded every failure of this level.
+        failed_here = failed[:]
+        for j in range(start, n):
+            bit = 1 << j
+            if intent & bit:
+                continue
+            below = bit - 1
+            # Pre-test: a closure that already failed for j on an ancestor
+            # fails again whenever its part below j is new to this intent.
+            if failed[j] & below & ~intent:
+                continue
+            child_extent = extent & cols[j]
+            child_intent = _intent_mask(ctx, child_extent)
+            if child_intent & below & ~intent:
+                failed_here[j] = child_intent
             else:
-                b = _closure_mask(ctx, a | bit)
-                if not b & ~a & (bit - 1):
-                    a = b
-                    intents.append(a)
-                    break
-    return intents
+                pairs.append((child_extent, child_intent))
+                stack.append((child_extent, child_intent, j + 1, failed_here))
+    return pairs
 
 
 def _sort_concept_pairs(pairs: list[tuple[int, int]]) -> list[FormalConcept]:
@@ -80,8 +106,7 @@ def enumerate_concepts(ctx: FormalContext) -> list[FormalConcept]:
     lexicographically as sorted index tuples.  The first element is always
     the top concept and the last the bottom.
     """
-    pairs = [(_extent_mask(ctx, im), im) for im in _intent_masks_nextclosure(ctx)]
-    return _sort_concept_pairs(pairs)
+    return _sort_concept_pairs(_concept_pairs_fcbo(ctx))
 
 
 def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:

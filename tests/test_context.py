@@ -267,12 +267,20 @@ class TestMeta:
         with pytest.raises(BadIndex):
             abc_ctx.domain_tag(index)
 
-    @pytest.mark.parametrize("indices", [[-1], [19], [0, 99], [0.0], ["0"], ["0", 1], [0, 0.5, 2]])
+    @pytest.mark.parametrize(
+        "indices", [[-1], [19], [0, 99], [0.0], ["0"], ["0", 1], [0, 0.5, 2], [[0]], [0, [1]]]
+    )
     def test_names_bad_index(self, abc_ctx, indices):
         with pytest.raises(BadIndex):
             abc_ctx.object_names(indices)
         with pytest.raises(BadIndex):
             abc_ctx.attribute_names(indices)
+
+    def test_unhashable_index_from_an_iterator_is_named(self, abc_ctx):
+        # no set of the indices can be built, and the error still names the bad one
+        with pytest.raises(BadIndex) as raised:
+            abc_ctx.object_names(iter([2, [0]]))
+        assert raised.value.index == [0]
 
     def test_unknown_names(self, abc_ctx):
         with pytest.raises(KeyError):

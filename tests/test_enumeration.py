@@ -3,15 +3,18 @@ import random
 import pytest
 
 from fca_spaces import (
+    BadArgument,
     BadIndex,
     FcaError,
     FormalConcept,
     FormalContext,
     attribute_concept,
     brute_force_concepts,
+    corpus_context,
     enumerate_concepts,
     object_concept,
 )
+from fca_spaces import enumeration
 from conftest import make_context, random_context, rows_of
 from reference import ref_sorted_concepts
 
@@ -162,6 +165,8 @@ class TestBruteForce:
             brute_force_concepts(ctx)
         with pytest.raises(FcaError):
             brute_force_concepts(ctx)
+        with pytest.raises(BadArgument):
+            brute_force_concepts(ctx)
 
     def test_small_agreement(self):
         rng = random.Random(7)
@@ -170,13 +175,38 @@ class TestBruteForce:
             assert brute_force_concepts(ctx) == enumerate_concepts(ctx)
 
 
+def contranominal(n):
+    return make_context([frozenset(m for m in range(n) if m != g) for g in range(n)], n)
+
+
 def test_large_concept_count_no_recursion_limit():
     # Contranominal scale: every subset of objects is an extent, so the
     # concept count is 2^n; enumeration must not push a stack that deep.
     n = 11
-    rows = [frozenset(m for m in range(n) if m != g) for g in range(n)]
-    ctx = make_context(rows, n)
-    assert len(enumerate_concepts(ctx)) == 2**n
+    assert len(enumerate_concepts(contranominal(n))) == 2**n
+
+
+@pytest.mark.parametrize("ctx, closures", [
+    (corpus_context("ninapro-abc"), 109),
+    (corpus_context("ninapro-grasp"), 44),
+    (contranominal(8), 2**8),
+], ids=["ninapro-abc", "ninapro-grasp", "contranominal-8"])
+def test_closure_count(monkeypatch, ctx, closures):
+    # Each closure FCbO computes is one _intent_mask call, the top's
+    # included; NextClosure made 413 and 65 on the two corpus tables.  A
+    # contranominal context has 2^n concepts and FCbO refuses none of its
+    # closures, so it makes exactly 2^n.
+    calls = 0
+    intent_mask = enumeration._intent_mask
+
+    def counted(ctx, object_mask):
+        nonlocal calls
+        calls += 1
+        return intent_mask(ctx, object_mask)
+
+    monkeypatch.setattr(enumeration, "_intent_mask", counted)
+    enumerate_concepts(ctx)
+    assert calls == closures
 
 
 def test_concepts_are_sorted_tuples():

@@ -7,7 +7,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fca_spaces import (
     ConceptLattice,
@@ -28,9 +28,10 @@ from fca_spaces import (
     specialize,
 )
 from fca_spaces import cli
+from fca_spaces.context import _intent_mask, _mask_to_indices
 from fca_spaces.lattice import _covers_pass_neighbour_test
 from conftest import contexts, make_context, random_context, rows_of
-from reference import ref_distances, ref_hasse_edges, ref_levels, ref_sorted_concepts
+from reference import ref_distances, ref_hasse_edges, ref_levels, ref_intent, ref_sorted_concepts
 
 
 @st.composite
@@ -111,6 +112,63 @@ def test_round_trip_identity(ctx):
 def test_enumeration_matches_reference(ctx):
     got = [(c.extent, c.intent) for c in enumerate_concepts(ctx)]
     assert got == ref_sorted_concepts(rows_of(ctx), len(ctx.attributes))
+
+
+def context_of_row_masks(row_masks, n_attr):
+    return make_context([frozenset(m for m in range(n_attr) if row >> m & 1) for row in row_masks], n_attr)
+
+
+# Wide contexts: extents past 512 bits take the scanning branch of
+# _mask_to_indices, and intents of more than 2 * |M| objects the column side
+# of _intent_mask.  Rows are drawn as attribute bitmasks to keep examples small.
+@st.composite
+def wide_contexts(draw):
+    n_attr = draw(st.integers(1, 5))
+    row_masks = draw(st.lists(st.integers(0, (1 << n_attr) - 1), min_size=513, max_size=640))
+    return context_of_row_masks(row_masks, n_attr)
+
+
+@given(wide_contexts())
+@settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+def test_wide_enumeration_matches_reference(ctx):
+    got = [(c.extent, c.intent) for c in enumerate_concepts(ctx)]
+    assert got == ref_sorted_concepts(rows_of(ctx), len(ctx.attributes))
+
+
+@given(
+    st.one_of(st.sampled_from([511, 512, 513]), st.integers(514, 5000)).flatmap(
+        lambda width: st.integers(0, (1 << (width - 1)) - 1).map(lambda low: low | 1 << (width - 1))
+    )
+)
+@settings(max_examples=40)
+def test_mask_to_indices_wide_masks(mask):
+    assert _mask_to_indices(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("not_a_mask", [(0, 2), 5.0, 0.0])
+def test_mask_to_indices_rejects_non_int(not_a_mask):
+    with pytest.raises(TypeError):
+        _mask_to_indices(not_a_mask)
+
+
+@st.composite
+def context_and_object_set_near_threshold(draw):
+    n_attr = draw(st.integers(0, 6))
+    n_obj = draw(st.integers(2 * n_attr + 1, 2 * n_attr + 10))
+    row_masks = draw(st.lists(st.integers(0, (1 << n_attr) - 1), min_size=n_obj, max_size=n_obj))
+    ctx = context_of_row_masks(row_masks, n_attr)
+    # sizes 2 * |M| and 2 * |M| + 1 sit on either side of the switch to columns
+    size = draw(st.one_of(st.sampled_from([2 * n_attr, 2 * n_attr + 1]), st.integers(0, n_obj)))
+    objs = draw(st.permutations(range(n_obj)))[:size]
+    return ctx, frozenset(objs)
+
+
+@given(context_and_object_set_near_threshold())
+@settings(max_examples=60)
+def test_intent_mask_matches_reference_on_both_sides(case):
+    ctx, objs = case
+    want = ref_intent(rows_of(ctx), len(ctx.attributes), objs)
+    assert _intent_mask(ctx, sum(1 << g for g in objs)) == sum(1 << m for m in want)
 
 
 @given(contexts(max_objects=7, max_attributes=7))
