@@ -9,12 +9,10 @@ object/attribute names; indices never cross the CLI boundary.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import _lazy_names
 from . import corpus as corpus_mod
 from .context import (
     FormalContext,
@@ -23,23 +21,24 @@ from .context import (
     parse_context,
     serialize_context,
 )
-from .enumeration import brute_force_concepts, enumerate_concepts, object_concept
 from .errors import BadArgument, ContextError, EmptyCategory, FcaError
-from .lattice import (
-    ConceptLattice,
-    _covers_pass_neighbour_test,
-    _json_list,
-    build_lattice,
-    export_dot,
-    export_json,
-    recompute_covers_pairwise,
-)
-from .similarity import (
-    nearest_concept,
-    prototype,
-    siblings,
-    similar_concepts,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from .lattice import ConceptLattice
+
+# The enumeration, lattice and query code is imported by the first command
+# that runs it, so that start-up stays cheap.  Commands call it through this
+# module (``_lazy``), where its names also resolve as attributes, so that a
+# stand-in set here (by a test, or a tracer) is what runs.
+_lazy = __getattr__ = _lazy_names(globals(), {
+    "enumeration": ("brute_force_concepts", "enumerate_concepts", "object_concept"),
+    "lattice": (
+        "_covers_pass_neighbour_test", "_json_list", "build_lattice", "export_dot", "export_json",
+        "recompute_covers_pairwise",
+    ),
+    "similarity": ("nearest_concept", "prototype", "siblings", "similar_concepts"),
+})
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,24 +94,24 @@ def _object_index(ctx: FormalContext, name: str) -> int:
         raise _QueryError(f"unknown object name: {name!r}") from None
 
 
-def _names(ctx: FormalContext, kind: str, indices) -> str:
-    names = ctx.object_names(indices) if kind == "objects" else ctx.attribute_names(indices)
-    return ", ".join(names)
+# Concept tuples are sorted and unique, so they skip the checks of ``object_names``.
+def _names(names: tuple[str, ...], indices: tuple[int, ...]) -> str:
+    return ", ".join(map(names.__getitem__, indices))
 
 
 def _concept_dict(ctx: FormalContext, lat: ConceptLattice, cid: int) -> dict:
     c = lat.concepts[cid]
     return {
         "id": cid,
-        "extent": list(ctx.object_names(c.extent)),
-        "intent": list(ctx.attribute_names(c.intent)),
+        "extent": list(map(ctx.objects.__getitem__, c.extent)),
+        "intent": list(map(ctx.attributes.__getitem__, c.intent)),
         "level": lat.level_of(cid),
     }
 
 
 def _print_concept_lines(ctx: FormalContext, extent, intent, prefix: str = "") -> None:
-    print(f"{prefix}extent ({len(extent)}): {_names(ctx, 'objects', extent)}")
-    print(f"{prefix}intent ({len(intent)}): {_names(ctx, 'attributes', intent)}")
+    print(f"{prefix}extent ({len(extent)}): {_names(ctx.objects, extent)}")
+    print(f"{prefix}intent ({len(intent)}): {_names(ctx.attributes, intent)}")
 
 
 _JSON_CONCEPT = '{\n    "id": %d,\n    "extent": %s,\n    "intent": %s\n  }'
@@ -120,8 +119,11 @@ _JSON_CONCEPT = '{\n    "id": %d,\n    "extent": %s,\n    "intent": %s\n  }'
 
 def _cmd_concepts(ns) -> int:
     ctx = _load_context(ns.context)
-    concepts = enumerate_concepts(ctx)
+    concepts = _lazy("enumerate_concepts")(ctx)
     if ns.format == "json":
+        from json.encoder import encode_basestring_ascii
+        _json_list = _lazy("_json_list")
+
         objects = list(map(encode_basestring_ascii, ctx.objects))
         attributes = list(map(encode_basestring_ascii, ctx.attributes))
         rendered = [
@@ -143,11 +145,11 @@ def _cmd_concepts(ns) -> int:
 
 def _cmd_lattice(ns) -> int:
     ctx = _load_context(ns.context)
-    lat = build_lattice(ctx)
+    lat = _lazy("build_lattice")(ctx)
     if ns.format == "json":
-        print(export_json(lat, ctx))
+        print(_lazy("export_json")(lat, ctx))
     elif ns.format == "dot":
-        sys.stdout.write(export_dot(lat, ctx))
+        sys.stdout.write(_lazy("export_dot")(lat, ctx))
     else:
         edges = lat.cover_edges()
         print(
@@ -163,10 +165,12 @@ def _cmd_lattice(ns) -> int:
 
 
 def _cmd_query(ns) -> int:
+    import json
+
     ctx = _load_context(ns.context)
     attrs = _attribute_indices(ctx, ns.attributes)
-    lat = build_lattice(ctx)
-    cid = nearest_concept(ctx, lat, attrs)
+    lat = _lazy("build_lattice")(ctx)
+    cid = _lazy("nearest_concept")(ctx, lat, attrs)
     if ns.format == "json":
         print(json.dumps(_concept_dict(ctx, lat, cid), indent=2))
     else:
@@ -181,11 +185,13 @@ def _jaccard_float(j: Fraction) -> float:
 
 
 def _cmd_similar(ns) -> int:
+    import json
+
     ctx = _load_context(ns.context)
     g = _object_index(ctx, ns.object)
-    lat = build_lattice(ctx)
-    cid = lat.index_of(object_concept(ctx, g))
-    results = similar_concepts(lat, cid, ns.k)
+    lat = _lazy("build_lattice")(ctx)
+    cid = lat.index_of(_lazy("object_concept")(ctx, g))
+    results = _lazy("similar_concepts")(lat, cid, ns.k)
     if ns.format == "json":
         payload = {
             "object": ns.object,
@@ -207,17 +213,19 @@ def _cmd_similar(ns) -> int:
             print(
                 f"{rank}. [{r.concept_id}] distance {r.lattice_distance} "
                 f"jaccard {_jaccard_float(r.intent_jaccard):.3f} "
-                f"intent: {_names(ctx, 'attributes', c.intent)}"
+                f"intent: {_names(ctx.attributes, c.intent)}"
             )
     return EXIT_OK
 
 
 def _cmd_siblings(ns) -> int:
+    import json
+
     ctx = _load_context(ns.context)
     g = _object_index(ctx, ns.object)
-    lat = build_lattice(ctx)
-    cid = lat.index_of(object_concept(ctx, g))
-    sibs = sorted(siblings(lat, cid))
+    lat = _lazy("build_lattice")(ctx)
+    cid = lat.index_of(_lazy("object_concept")(ctx, g))
+    sibs = sorted(_lazy("siblings")(lat, cid))
     if ns.format == "json":
         payload = {
             "object": ns.object,
@@ -235,10 +243,12 @@ def _cmd_siblings(ns) -> int:
 
 
 def _cmd_prototype(ns) -> int:
+    import json
+
     ctx = _load_context(ns.context)
     attrs = _attribute_indices(ctx, ns.attributes)
     try:
-        g = prototype(ctx, attrs)
+        g = _lazy("prototype")(ctx, attrs)
     except EmptyCategory as exc:
         raise _QueryError(f"EmptyCategory: {exc}") from None
     if ns.format == "json":
@@ -265,6 +275,8 @@ def _case_report_dict(report) -> dict:
 
 
 def _cmd_verify_cases(ns) -> int:
+    import json
+
     reports = corpus_mod.verify_corpus_cases()
     if ns.format == "json":
         print(json.dumps([_case_report_dict(r) for r in reports], indent=2))
@@ -277,7 +289,7 @@ def _cmd_verify_cases(ns) -> int:
 
 
 def _validation_checks(ctx: FormalContext, oracle: bool):
-    lat = build_lattice(ctx)
+    lat = _lazy("build_lattice")(ctx)
     concepts = lat.concepts
 
     def closed_pairs() -> bool:
@@ -292,10 +304,10 @@ def _validation_checks(ctx: FormalContext, oracle: bool):
         return keys == sorted(keys) and len(set(concepts)) == len(concepts)
 
     def cover_reduction() -> bool:
-        return _covers_pass_neighbour_test(lat)
+        return _lazy("_covers_pass_neighbour_test")(lat)
 
     def cover_pairwise() -> bool:
-        return sorted(lat.cover_edges()) == recompute_covers_pairwise(lat)
+        return sorted(lat.cover_edges()) == _lazy("recompute_covers_pairwise")(lat)
 
     def unique_extremes() -> bool:
         tops = [i for i in range(len(lat)) if not lat.upper_covers(i)]
@@ -324,7 +336,7 @@ def _validation_checks(ctx: FormalContext, oracle: bool):
             ("covers equal cubic pairwise recomputation", cover_pairwise),
             (
                 "enumeration equals exhaustive subset closure",
-                lambda: enumerate_concepts(ctx) == brute_force_concepts(ctx),
+                lambda: _lazy("enumerate_concepts")(ctx) == _lazy("brute_force_concepts")(ctx),
             ),
         ]
     return checks

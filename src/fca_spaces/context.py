@@ -11,11 +11,11 @@ which makes the derivation operators cheap set intersections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    BadArgument,
     BadIndex,
     ContextError,
     DuplicateName,
@@ -27,17 +27,46 @@ from .errors import (
 DOMAIN_TAGS = ("Fingers", "Wrist", "Forces", "Grasp")
 
 
-@dataclass(frozen=True)
-class AttributeMeta:
+class _Frozen:
+    """Immutable value: ``__init__`` sets the fields, later assignment raises.
+    Equality (within one class) and hashing use the ``_compared`` fields, ``repr``
+    the ``_shown`` ones.  No ``__slots__``, so ``cached_property`` still works."""
+
+    # How ``__init__`` sets a field.  Fields set this way stay inline; writing
+    # to ``__dict__`` would make the instance keep a dict and every read slower.
+    _set = object.__setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AttributeMeta(_Frozen):
     """Quality-dimension tag attached to an attribute."""
 
-    domain_tag: str
+    _shown = _compared = ("domain_tag",)
 
-    def __post_init__(self):
-        if self.domain_tag not in DOMAIN_TAGS:
-            raise ContextError(
-                f"unknown domain tag {self.domain_tag!r}; expected one of {DOMAIN_TAGS}"
-            )
+    def __init__(self, domain_tag: str):
+        if domain_tag not in DOMAIN_TAGS:
+            raise ContextError(f"unknown domain tag {domain_tag!r}; expected one of {DOMAIN_TAGS}")
+        self._set("domain_tag", domain_tag)
 
 
 def _check_name(kind: str, name: str) -> None:
@@ -55,8 +84,7 @@ def _check_name(kind: str, name: str) -> None:
         raise InvalidName(kind, name, "lone surrogates cannot be written as UTF-8") from None
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(_Frozen):
     """Immutable object x attribute cross table.
 
     ``incidence`` holds ``(object_index, attribute_index)`` pairs.
@@ -67,32 +95,30 @@ class FormalContext:
     Instances are safe to share across threads once constructed.
     """
 
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    incidence: frozenset[tuple[int, int]]
-    attribute_meta: Mapping[int, AttributeMeta] | None = field(default=None, compare=False)
+    _shown = ("objects", "attributes", "incidence", "attribute_meta")
+    _compared = _shown[:3]
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-
+    def __init__(self, objects: Iterable[str], attributes: Iterable[str],
+                 incidence: Iterable[tuple[int, int]],
+                 attribute_meta: Mapping[int, AttributeMeta] | None = None):
+        objects, attributes = tuple(objects), tuple(attributes)
         seen: set[str] = set()
-        for name in self.objects:
+        for name in objects:
             _check_name("object", name)
             if name in seen:
                 raise DuplicateName("object", name)
             seen.add(name)
         seen.clear()
-        for name in self.attributes:
+        for name in attributes:
             _check_name("attribute", name)
             if name in seen:
                 raise DuplicateName("attribute", name)
             seen.add(name)
 
-        n_obj, n_attr = len(self.objects), len(self.attributes)
+        n_obj, n_attr = len(objects), len(attributes)
         # Indices must be ints: 0.0 passes the range test but breaks every
         # bit operation later.  Inline, since this runs once per incidence pair.
-        items = tuple(self.incidence)
+        items = tuple(incidence)
         for item in items:
             try:
                 g, m = item
@@ -104,11 +130,14 @@ class FormalContext:
                 raise BadIndex("object", g, n_obj)
             if not isinstance(m, int) or not 0 <= m < n_attr:
                 raise BadIndex("attribute", m, n_attr)
-        object.__setattr__(self, "incidence", frozenset(map(tuple, items)))
-        if self.attribute_meta:
-            for m in self.attribute_meta:
+        if attribute_meta:
+            for m in attribute_meta:
                 if not isinstance(m, int) or not 0 <= m < n_attr:
                     raise BadIndex("attribute", m, n_attr)
+        self._set("objects", objects)
+        self._set("attributes", attributes)
+        self._set("incidence", frozenset(map(tuple, items)))
+        self._set("attribute_meta", attribute_meta)
 
     @cached_property
     def _row_masks(self) -> tuple[int, ...]:
@@ -179,6 +208,7 @@ def _names_at(names: tuple[str, ...], kind: str, indices: Iterable[int]) -> tupl
     set, the sort or the lookup raise TypeError.
     """
     n = len(names)
+    _iter_indices(kind, indices)
     indices = tuple(indices)  # no copy for a tuple; the error path reads it again
     try:
         ordered = sorted(set(indices))
@@ -190,10 +220,17 @@ def _names_at(names: tuple[str, ...], kind: str, indices: Iterable[int]) -> tupl
         raise BadIndex(kind, next(i for i in indices if not isinstance(i, int)), n) from None
 
 
+def _iter_indices(kind: str, values: Iterable[int]) -> Iterator[int]:
+    try:
+        return iter(values)
+    except TypeError:
+        raise BadArgument(f"{kind} indices must be iterable, got {type(values).__name__}") from None
+
+
 def _object_set_to_mask(ctx: FormalContext, objs: Iterable[int]) -> int:
     n = len(ctx.objects)
     mask = 0
-    for g in objs:
+    for g in _iter_indices("object", objs):
         if not isinstance(g, int) or not 0 <= g < n:
             raise BadIndex("object", g, n)
         mask |= 1 << g
@@ -203,7 +240,7 @@ def _object_set_to_mask(ctx: FormalContext, objs: Iterable[int]) -> int:
 def _attribute_set_to_mask(ctx: FormalContext, attrs: Iterable[int]) -> int:
     n = len(ctx.attributes)
     mask = 0
-    for m in attrs:
+    for m in _iter_indices("attribute", attrs):
         if not isinstance(m, int) or not 0 <= m < n:
             raise BadIndex("attribute", m, n)
         mask |= 1 << m
@@ -306,6 +343,8 @@ def parse_context(text: str) -> FormalContext:
     ``objName,c1,c2,...`` with cells in {0, 1}.  Whitespace around cells is
     trimmed; every other deviation raises, it is never repaired.
     """
+    if not isinstance(text, str):
+        raise BadArgument(f"context text must be a str, got {type(text).__name__}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline

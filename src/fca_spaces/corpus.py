@@ -11,12 +11,13 @@ about these tables from the built lattices; verdicts are never hard-coded.
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass, field
+from . import _lazy_names
+from .context import AttributeMeta, FormalContext, _Frozen
 
-from .context import AttributeMeta, FormalContext
-from .enumeration import object_concept
-from .lattice import build_lattice
+# The lattice code is imported when the cases are first verified, not by ``fca corpus``.
+_lazy = __getattr__ = _lazy_names(
+    globals(), {"enumeration": ("object_concept",), "lattice": ("build_lattice",)}
+)
 
 ABC_NAME = "ninapro-abc"
 GRASP_NAME = "ninapro-grasp"
@@ -135,22 +136,23 @@ def corpus_context(name: str) -> FormalContext:
 
 def golden_csv(name: str) -> str:
     """Bundled golden CSV for a corpus name, byte-identical to serialization."""
-    filename = _GOLDEN_FILES[name]
-    return (
-        importlib.resources.files("fca_spaces")
-        .joinpath("data", filename)
-        .read_text(encoding="utf-8")
-    )
+    from importlib.resources import files
+
+    return files("fca_spaces").joinpath("data", _GOLDEN_FILES[name]).read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    """Computed verdict for one documented similarity claim."""
+class CaseReport(_Frozen):
+    """Computed verdict for one documented similarity claim; ``computed_relation``
+    is "holds", "fails" or "not-mappable", and equality ignores ``evidence``."""
 
-    case_id: int
-    claim: str
-    computed_relation: str  # "holds" | "fails" | "not-mappable"
-    evidence: dict = field(compare=False)
+    _shown = ("case_id", "claim", "computed_relation", "evidence")
+    _compared = _shown[:3]
+
+    def __init__(self, case_id: int, claim: str, computed_relation: str, evidence: dict):
+        self._set("case_id", case_id)
+        self._set("claim", claim)
+        self._set("computed_relation", computed_relation)
+        self._set("evidence", evidence)
 
 
 def _concept_evidence(ctx: FormalContext, lat, concept) -> dict:
@@ -162,6 +164,8 @@ def _concept_evidence(ctx: FormalContext, lat, concept) -> dict:
 
 
 def _leq_case(case_id: int, claim: str, ctx, lat, lower_name: str, upper_name: str) -> CaseReport:
+    object_concept = _lazy("object_concept")
+
     lower = object_concept(ctx, ctx.object_index(lower_name))
     upper = object_concept(ctx, ctx.object_index(upper_name))
     holds = lat.leq(lower, upper)
@@ -177,6 +181,8 @@ def _leq_case(case_id: int, claim: str, ctx, lat, lower_name: str, upper_name: s
 
 def verify_corpus_cases() -> list[CaseReport]:
     """Recompute the four documented similarity cases from both corpus lattices."""
+    build_lattice, object_concept = map(_lazy, ("build_lattice", "object_concept"))
+
     abc = ninapro_abc()
     abc_lat = build_lattice(abc)
     grasp = ninapro_grasp()

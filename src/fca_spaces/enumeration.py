@@ -20,33 +20,39 @@ what fixes concept ids everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .context import FormalContext, _closure_mask, _extent_mask, _intent_mask, _mask_to_indices
+from .context import FormalContext, _closure_mask, _extent_mask, _Frozen, _intent_mask
+from .context import _mask_to_indices
 from .errors import BadArgument, BadIndex
 
 # Exhaustive 2^|M| verification is refused beyond this many attributes.
 BRUTE_FORCE_ATTRIBUTE_LIMIT = 22
 
 
-@dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(_Frozen):
     """A closed (extent, intent) pair, held as object and attribute bitmasks.
 
     Equality and hashing use the masks.  ``extent`` and ``intent`` are the
     same sets as index tuples sorted ascending, derived once at construction.
     """
 
-    # Out of repr: a mask over more than about 14,000 objects has more
-    # decimal digits than Python's int-to-str conversion allows.
-    extent_mask: int = field(repr=False)
-    intent_mask: int = field(repr=False)
-    extent: tuple[int, ...] = field(init=False, compare=False)
-    intent: tuple[int, ...] = field(init=False, compare=False)
+    # Masks stay out of repr: one over more than about 14,000 objects has
+    # more decimal digits than Python's int-to-str conversion allows.
+    _shown = ("extent", "intent")
+    _compared = ("extent_mask", "intent_mask")
 
-    def __post_init__(self):
-        object.__setattr__(self, "extent", _mask_to_indices(self.extent_mask))
-        object.__setattr__(self, "intent", _mask_to_indices(self.intent_mask))
+    def __init__(self, extent_mask: int, intent_mask: int):
+        self._set("extent_mask", extent_mask)
+        self._set("intent_mask", intent_mask)
+        self._set("extent", _mask_to_indices(extent_mask))
+        self._set("intent", _mask_to_indices(intent_mask))
+
+    # A per-concept hot path, so it skips _key().
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.extent_mask == other.extent_mask and self.intent_mask == other.intent_mask
+
+    __hash__ = _Frozen.__hash__  # defining __eq__ alone would unset it
 
     @property
     def extent_set(self) -> frozenset[int]:

@@ -61,7 +61,7 @@ class ConceptLattice:
         """Id of ``concept`` in this lattice; MixedContext if it is foreign."""
         try:
             found = self._id_by_extent[concept.extent_mask]
-        except (KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError):
             raise MixedContext(f"concept {concept!r} does not belong to this lattice") from None
         if self.concepts[found] != concept:
             raise MixedContext(f"concept {concept!r} does not belong to this lattice")

@@ -9,7 +9,6 @@ overlap of intents breaking ties among equidistant concepts.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
@@ -18,6 +17,7 @@ from .context import (
     FormalContext,
     _attribute_set_to_mask,
     _extent_mask,
+    _Frozen,
     _intent_mask,
     _mask_to_indices,
 )
@@ -25,13 +25,15 @@ from .errors import BadArgument, EmptyCategory
 from .lattice import ConceptLattice, _check_same_context
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(_Frozen):
     """One ranked neighbour: cover-graph distance plus intent overlap."""
 
-    concept_id: int
-    lattice_distance: int
-    intent_jaccard: Fraction
+    _shown = _compared = ("concept_id", "lattice_distance", "intent_jaccard")
+
+    def __init__(self, concept_id: int, lattice_distance: int, intent_jaccard: Fraction):
+        self._set("concept_id", concept_id)
+        self._set("lattice_distance", lattice_distance)
+        self._set("intent_jaccard", intent_jaccard)
 
 
 def intent_jaccard(a: Iterable[int], b: Iterable[int]) -> Fraction:
