@@ -25,6 +25,7 @@ from .errors import BadArgument, ContextError, EmptyCategory, FcaError
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from .enumeration import FormalConcept
     from .lattice import ConceptLattice
 
 # The enumeration, lattice and query code is imported by the first command
@@ -34,8 +35,8 @@ if TYPE_CHECKING:
 _lazy = __getattr__ = _lazy_names(globals(), {
     "enumeration": ("brute_force_concepts", "enumerate_concepts", "object_concept"),
     "lattice": (
-        "_covers_pass_neighbour_test", "_json_list", "build_lattice", "export_dot", "export_json",
-        "recompute_covers_pairwise",
+        "_ConceptIndex", "_covers_pass_neighbour_test", "_json_list", "_upset_level",
+        "build_lattice", "export_dot", "export_json", "recompute_covers_pairwise",
     ),
     "similarity": ("nearest_concept", "prototype", "siblings", "similar_concepts"),
 })
@@ -100,12 +101,15 @@ def _names(names: tuple[str, ...], indices: tuple[int, ...]) -> str:
 
 
 def _concept_dict(ctx: FormalContext, lat: ConceptLattice, cid: int) -> dict:
-    c = lat.concepts[cid]
+    return _concept_fields(ctx, cid, lat.concepts[cid], lat.level_of(cid))
+
+
+def _concept_fields(ctx: FormalContext, cid: int, c: FormalConcept, level: int) -> dict:
     return {
         "id": cid,
         "extent": list(map(ctx.objects.__getitem__, c.extent)),
         "intent": list(map(ctx.attributes.__getitem__, c.intent)),
-        "level": lat.level_of(cid),
+        "level": level,
     }
 
 
@@ -169,13 +173,15 @@ def _cmd_query(ns) -> int:
 
     ctx = _load_context(ns.context)
     attrs = _attribute_indices(ctx, ns.attributes)
-    lat = _lazy("build_lattice")(ctx)
-    cid = _lazy("nearest_concept")(ctx, lat, attrs)
+    # The answer's level needs only the concepts above it, not the whole lattice.
+    index = _lazy("_ConceptIndex")(ctx, _lazy("enumerate_concepts")(ctx))
+    cid = _lazy("nearest_concept")(ctx, index, attrs)
+    level = _lazy("_upset_level")(index, cid)
+    c = index.concepts[cid]
     if ns.format == "json":
-        print(json.dumps(_concept_dict(ctx, lat, cid), indent=2))
+        print(json.dumps(_concept_fields(ctx, cid, c, level), indent=2))
     else:
-        c = lat.concepts[cid]
-        print(f"nearest concept [{cid}] at level {lat.level_of(cid)}")
+        print(f"nearest concept [{cid}] at level {level}")
         _print_concept_lines(ctx, c.extent, c.intent, prefix="  ")
     return EXIT_OK
 

@@ -11,14 +11,28 @@ from __future__ import annotations
 
 import html
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .context import FormalContext, _mask_to_indices
-from .enumeration import FormalConcept, attribute_concept, enumerate_concepts, object_concept
+from .context import FormalContext, _extent_mask, _mask_to_indices
+from .enumeration import FormalConcept, enumerate_concepts
 from .errors import BadId, MixedContext
 
 
-class ConceptLattice:
+class _ConceptIndex:
+    """The concepts of one context and the id of each extent, unordered.
+
+    Enough to look a concept up by its extent and to order part of the
+    lattice (:func:`_upset_level`); :class:`ConceptLattice` adds the covers.
+    """
+
+    def __init__(self, context: FormalContext, concepts: Iterable[FormalConcept]):
+        self.context = context
+        self.concepts = tuple(concepts)
+        self._extent_masks = [c.extent_mask for c in self.concepts]
+        self._id_by_extent = {mask: i for i, mask in enumerate(self._extent_masks)}
+
+
+class ConceptLattice(_ConceptIndex):
     """All concepts of one context plus the cover (Hasse) structure.
 
     Immutable after construction; safe for concurrent reads.  Build through
@@ -35,14 +49,12 @@ class ConceptLattice:
         top_id: int,
         bottom_id: int,
     ):
-        self.context = context
-        self.concepts = tuple(concepts)
+        super().__init__(context, concepts)
         self._upper = tuple(upper)
         self._lower = tuple(lower)
         self._levels = tuple(levels)
         self.top_id = top_id
         self.bottom_id = bottom_id
-        self._id_by_extent = {c.extent_mask: i for i, c in enumerate(self.concepts)}
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -103,23 +115,30 @@ class ConceptLattice:
         return self._levels[self.bottom_id]
 
 
-def build_lattice(ctx: FormalContext) -> ConceptLattice:
-    """Order the concepts of ``ctx`` into their Hasse diagram."""
-    concepts = enumerate_concepts(ctx)
-    n = len(concepts)
-    extent_masks = [c.extent_mask for c in concepts]
-    id_by_extent = {mask: i for i, mask in enumerate(extent_masks)}
-    cols = ctx._col_masks
+def _lower_covers_and_levels(
+    extent_masks: list[int], id_by_extent: dict[int, int], cols: Sequence[int], ids: list[int]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Lower covers and level of each concept in ``ids``, an ascending id list.
 
-    # Neighbour construction (Lindig, "Fast concept analysis", taken from the
-    # attribute side).  Every lower cover of extent A has the form A & m' for
-    # an attribute m outside the intent, and A & m' is itself an extent, so
-    # the lower covers are the maximal sets among those candidates.  Ids
-    # ascend as extent size descends, so visiting candidates by id puts each
-    # one after all of its supersets: a candidate is a cover unless it lies
-    # inside one already kept, and the kept ids come out ascending.
+    Neighbour construction (Lindig, "Fast concept analysis", taken from the
+    attribute side).  Every lower cover of extent A has the form A & m' for
+    an attribute m outside the intent, and A & m' is itself an extent, so
+    the lower covers are the maximal sets among those candidates.  Ids
+    ascend as extent size descends, so visiting candidates by id puts each
+    one after all of its supersets: a candidate is a cover unless it lies
+    inside one already kept, and the kept ids come out ascending.
+
+    Upper covers have smaller ids, so one forward pass in id order sets
+    each level before its lower covers read it.  ``cols`` may be the
+    columns of one intent B only and ``ids`` the concepts above B's
+    concept: every candidate then lies in that interval, which is the
+    lattice of the subcontext on B, and the levels are the whole lattice's.
+    Both lists returned follow ``ids``.
+    """
     lower: list[tuple[int, ...]] = []
-    for a in extent_masks:
+    level = [0] * (ids[-1] + 1)
+    for i in ids:
+        a = extent_masks[i]
         candidates = set(map(a.__and__, cols))
         candidates.discard(a)
         kept: list[int] = []
@@ -133,6 +152,36 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
                 kept.append(j)
                 kept_masks.append(mj)
         lower.append(tuple(kept))
+        below = level[i] + 1
+        for j in kept:
+            if level[j] < below:
+                level[j] = below
+    return lower, [level[i] for i in ids]
+
+
+def _upset_level(index: _ConceptIndex, cid: int) -> int:
+    """Level of concept ``cid``, ordering only the concepts above it.
+
+    A longest cover path from the top to (A, B) stays inside the interval
+    [(A, B), top], whose extents are those containing A and whose lower
+    covers come from the columns of B, the columns containing A.
+    """
+    extent_masks = index._extent_masks
+    a = extent_masks[cid]
+    ids = [j for j in range(cid + 1) if extent_masks[j] & a == a]
+    cols = [col for col in index.context._col_masks if col & a == a]
+    return _lower_covers_and_levels(extent_masks, index._id_by_extent, cols, ids)[1][-1]
+
+
+def build_lattice(ctx: FormalContext) -> ConceptLattice:
+    """Order the concepts of ``ctx`` into their Hasse diagram."""
+    index = _ConceptIndex(ctx, enumerate_concepts(ctx))
+    concepts = index.concepts
+    extent_masks = index._extent_masks
+    n = len(concepts)
+    lower, levels = _lower_covers_and_levels(
+        extent_masks, index._id_by_extent, ctx._col_masks, list(range(n))
+    )
 
     # Inverting in ascending id order leaves every upper-cover list sorted.
     upper_lists: list[list[int]] = [[] for _ in range(n)]
@@ -140,11 +189,6 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
         for j in lows:
             upper_lists[j].append(i)
     upper = [tuple(ups) for ups in upper_lists]
-
-    levels = [0] * n
-    for i in range(n):  # upper covers always have smaller ids: topological
-        if upper[i]:
-            levels[i] = max(levels[j] for j in upper[i]) + 1
 
     top_id = 0
     bottom_id = n - 1
@@ -228,7 +272,7 @@ def _covers_pass_neighbour_test(lat: ConceptLattice) -> bool:
     return all(sorted(lows) == inv for lows, inv in zip(lat._lower, inverse))
 
 
-def _check_same_context(lat: ConceptLattice, ctx: FormalContext) -> None:
+def _check_same_context(lat: _ConceptIndex, ctx: FormalContext) -> None:
     if lat.context != ctx:
         raise MixedContext("lattice was not built from the given context")
 
@@ -300,14 +344,20 @@ def export_dot(lat: ConceptLattice, ctx: FormalContext) -> str:
     lower -> upper with ``rankdir=BT``.
     """
     _check_same_context(lat, ctx)
+    # An attribute concept's extent is the attribute's column, and an object
+    # concept's extent is the extent of the object's row, which equal rows share.
+    id_by_extent = lat._id_by_extent
+    try:
+        attr_ids = [id_by_extent[col] for col in ctx._col_masks]
+        id_by_row = {row: id_by_extent[_extent_mask(ctx, row)] for row in set(ctx._row_masks)}
+    except KeyError:
+        raise MixedContext("lattice lacks an attribute or object concept of the context") from None
     attr_labels: dict[int, list[str]] = {}
-    for m, name in enumerate(ctx.attributes):
-        cid = lat.index_of(attribute_concept(ctx, m))
+    for cid, name in zip(attr_ids, ctx.attributes):
         attr_labels.setdefault(cid, []).append(name)
     obj_labels: dict[int, list[str]] = {}
-    for g, name in enumerate(ctx.objects):
-        cid = lat.index_of(object_concept(ctx, g))
-        obj_labels.setdefault(cid, []).append(name)
+    for row, name in zip(ctx._row_masks, ctx.objects):
+        obj_labels.setdefault(id_by_row[row], []).append(name)
 
     lines = [
         "digraph concept_lattice {",

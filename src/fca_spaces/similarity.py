@@ -22,7 +22,7 @@ from .context import (
     _mask_to_indices,
 )
 from .errors import BadArgument, EmptyCategory
-from .lattice import ConceptLattice, _check_same_context
+from .lattice import ConceptLattice, _check_same_context, _ConceptIndex
 
 
 class SimilarityResult(_Frozen):
@@ -72,7 +72,7 @@ def _undirected(lat: ConceptLattice) -> Callable[[int], tuple[int, ...]]:
 
 def _walk(lat: ConceptLattice, start: int, steps: int, up: bool) -> frozenset[int]:
     lat._check_id(start)
-    if not isinstance(steps, int) or steps < 1:
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise BadArgument(f"steps must be an int >= 1, got {steps!r}")
     neighbours = lat._upper if up else lat._lower
     return frozenset(chain.from_iterable(islice(_layers(neighbours.__getitem__, start), steps)))
@@ -121,7 +121,7 @@ def similar_concepts(lat: ConceptLattice, concept_id: int, k: int) -> list[Simil
     neighbourhood visited rather than the size of the lattice.
     """
     lat._check_id(concept_id)
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise BadArgument(f"k must be an int >= 1, got {k!r}")
     own_intent = lat.concepts[concept_id].intent_set
     results: list[SimilarityResult] = []
@@ -138,11 +138,13 @@ def similar_concepts(lat: ConceptLattice, concept_id: int, k: int) -> list[Simil
     return results
 
 
-def nearest_concept(ctx: FormalContext, lat: ConceptLattice, attrs: Iterable[int]) -> int:
+def nearest_concept(ctx: FormalContext, lat: _ConceptIndex, attrs: Iterable[int]) -> int:
     """Id of the most specific concept whose intent contains ``attrs``.
 
     Total: an attribute combination no object exhibits lands on the bottom
     concept.  For any already-closed intent this is exactly its concept.
+    Only the concepts of ``lat`` are read, so ``fca query`` passes the
+    concepts of ``ctx`` before any cover is built.
     """
     _check_same_context(lat, ctx)
     # The concept's extent is the cue's extent, so its intent need not be derived.

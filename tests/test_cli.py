@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import fca_spaces.lattice
 from fca_spaces import ConceptLattice, build_lattice, cli, golden_csv
 from fca_spaces.cli import run
 
@@ -50,6 +51,28 @@ class TestQueryCommand:
         code, out, _ = invoke(capsys, "query", "ninapro-abc", "--attributes", "Point")
         assert code == 0
         assert "Ex2 Act7" in out
+
+    def test_runs_without_building_the_lattice(self, monkeypatch, capsys):
+        argv = ("query", "ninapro-abc", "--attributes", "Wrist,Rotate")
+        want = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+
+        def refused(ctx):
+            raise AssertionError("fca query built the whole lattice")
+
+        monkeypatch.setattr(cli, "build_lattice", refused)
+        monkeypatch.setattr(fca_spaces.lattice, "build_lattice", refused)
+        got = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+        assert got == want
+        assert [code for code, _, _ in got] == [0, 0]
+
+    def test_unknown_attribute_fails_before_enumeration(self, monkeypatch, capsys):
+        def refused(ctx):
+            raise AssertionError("concepts enumerated for a bad cue")
+
+        monkeypatch.setattr(cli, "enumerate_concepts", refused)
+        code, out, err = invoke(capsys, "query", "ninapro-abc", "--attributes", "Wrist,Sideways")
+        assert (code, out) == (3, "")
+        assert "Sideways" in err
 
 
 class TestPrototypeCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from fca_spaces import (
     BadId,
+    ConceptLattice,
     FormalContext,
     MixedContext,
     attribute_concept,
@@ -297,6 +298,16 @@ class TestExportDot:
         dot = export_dot(grasp_lat, grasp_ctx)
         assert dot.startswith("digraph")
         assert "rankdir=BT" in dot
+
+    @pytest.mark.parametrize("concept_of", [attribute_concept, object_concept])
+    def test_lattice_missing_a_labelled_concept_rejected(self, abc_ctx, abc_lat, concept_of):
+        # a hand-built lattice without one attribute (or object) concept
+        gone = concept_of(abc_ctx, 0)
+        kept = [c for c in abc_lat.concepts if c != gone]
+        n = len(kept)
+        lat = ConceptLattice(abc_ctx, kept, [()] * n, [()] * n, [0] * n, 0, n - 1)
+        with pytest.raises(MixedContext):
+            export_dot(lat, abc_ctx)
 
 
 # SHA-256 of the exports of the bundled tables, recorded from the

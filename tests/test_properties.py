@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from fca_spaces import (
     FormalContext,
     build_lattice,
     closure_attributes,
+    corpus_context,
     derive_extent,
     derive_intent,
     enumerate_concepts,
@@ -29,7 +31,7 @@ from fca_spaces import (
 )
 from fca_spaces import cli
 from fca_spaces.context import _intent_mask, _mask_to_indices
-from fca_spaces.lattice import _covers_pass_neighbour_test
+from fca_spaces.lattice import _ConceptIndex, _covers_pass_neighbour_test, _upset_level
 from conftest import contexts, make_context, random_context, rows_of
 from reference import ref_distances, ref_hasse_edges, ref_levels, ref_intent, ref_sorted_concepts
 
@@ -187,6 +189,19 @@ def test_covers_and_levels_match_reference(ctx):
         assert list(lows) == sorted(set(lows))
         assert all(i in lat.lower_covers(j) for j in ups)
         assert all(i in lat.upper_covers(j) for j in lows)
+
+
+@given(contexts(max_objects=7, max_attributes=7))
+@settings(deadline=None)
+def test_upset_level_matches_full_lattice_and_reference(ctx):
+    # ordering only the concepts above one concept gives it the same level
+    # as the whole Hasse diagram does, and as the reference's longest path
+    lat = build_lattice(ctx)
+    n = len(lat)
+    index = _ConceptIndex(ctx, enumerate_concepts(ctx))
+    levels = ref_levels(n, ref_hasse_edges([c.extent_set for c in lat.concepts]))
+    for i in range(n):
+        assert _upset_level(index, i) == lat.level_of(i) == levels[i]
 
 
 @given(contexts(max_objects=7, max_attributes=7), st.randoms(use_true_random=False))
@@ -374,6 +389,28 @@ def test_cli_concepts_json_equals_json_dumps(ctx):
         with contextlib.redirect_stdout(out):
             assert cli.run(["concepts", path, "--format", "json"]) == 0
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("corpus", ["ninapro-abc", "ninapro-grasp"])
+def test_cli_query_equals_full_lattice_render(corpus):
+    # fca query orders only its answer's up-set; the whole lattice is the oracle
+    ctx = corpus_context(corpus)
+    lat = build_lattice(ctx)
+    for pair in itertools.combinations(range(len(ctx.attributes)), 2):
+        cid = nearest_concept(ctx, lat, pair)
+        payload = {**_concept_payload(ctx, cid, lat.concepts[cid]), "level": lat.level_of(cid)}
+        extent, intent = payload["extent"], payload["intent"]
+        table = (
+            f"nearest concept [{cid}] at level {lat.level_of(cid)}\n"
+            f"  extent ({len(extent)}): {', '.join(extent)}\n"
+            f"  intent ({len(intent)}): {', '.join(intent)}\n"
+        )
+        cue = ",".join(ctx.attributes[m] for m in pair)
+        for fmt, want in (("table", table), ("json", json.dumps(payload, indent=2) + "\n")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["query", corpus, "--attributes", cue, "--format", fmt]) == 0
+            assert out.getvalue() == want
 
 
 # Fuzzing: arbitrary text, biased toward the characters the CSV format uses.

@@ -86,6 +86,14 @@ class TestGeneralizeSpecialize:
         with pytest.raises(BadArgument):
             generalize(abc_lat, 5, 1.5)
 
+    @pytest.mark.parametrize("steps", [True, False])
+    def test_bool_steps_rejected(self, abc_lat, steps):
+        # bool is an int subclass, but True is no step count
+        with pytest.raises(BadArgument, match="steps"):
+            generalize(abc_lat, abc_lat.bottom_id, steps)
+        with pytest.raises(BadArgument, match="steps"):
+            specialize(abc_lat, abc_lat.top_id, steps)
+
     def test_bad_id(self, abc_lat):
         with pytest.raises(BadId):
             generalize(abc_lat, len(abc_lat), 1)
@@ -187,6 +195,11 @@ class TestSimilarConcepts:
             similar_concepts(grasp_lat, 0, 0)
         with pytest.raises(BadArgument):
             similar_concepts(grasp_lat, 0, 2.5)
+
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_k_rejected(self, grasp_lat, k):
+        with pytest.raises(BadArgument, match="k must"):
+            similar_concepts(grasp_lat, 0, k)
 
     def test_jaccard_empty_sets(self):
         assert intent_jaccard(frozenset(), frozenset()) == Fraction(1)
