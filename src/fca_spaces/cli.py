@@ -25,7 +25,6 @@ from .errors import BadArgument, ContextError, EmptyCategory, FcaError
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from .enumeration import FormalConcept
     from .lattice import ConceptLattice
 
 # The enumeration, lattice and query code is imported by the first command
@@ -35,8 +34,9 @@ if TYPE_CHECKING:
 _lazy = __getattr__ = _lazy_names(globals(), {
     "enumeration": ("brute_force_concepts", "enumerate_concepts", "object_concept"),
     "lattice": (
-        "_ConceptIndex", "_covers_pass_neighbour_test", "_json_list", "_upset_level",
-        "build_lattice", "export_dot", "export_json", "recompute_covers_pairwise",
+        "_ConceptIndex", "_covers_pass_neighbour_test", "_json_list", "_order_for_reads",
+        "_order_on_demand", "build_lattice", "export_dot", "export_json",
+        "recompute_covers_pairwise",
     ),
     "similarity": ("nearest_concept", "prototype", "siblings", "similar_concepts"),
 })
@@ -101,16 +101,17 @@ def _names(names: tuple[str, ...], indices: tuple[int, ...]) -> str:
 
 
 def _concept_dict(ctx: FormalContext, lat: ConceptLattice, cid: int) -> dict:
-    return _concept_fields(ctx, cid, lat.concepts[cid], lat.level_of(cid))
-
-
-def _concept_fields(ctx: FormalContext, cid: int, c: FormalConcept, level: int) -> dict:
+    c = lat.concepts[cid]
     return {
         "id": cid,
         "extent": list(map(ctx.objects.__getitem__, c.extent)),
         "intent": list(map(ctx.attributes.__getitem__, c.intent)),
-        "level": level,
+        "level": lat.level_of(cid),
     }
+
+
+def _concept_index(ctx: FormalContext):
+    return _lazy("_ConceptIndex")(ctx, _lazy("enumerate_concepts")(ctx))
 
 
 def _print_concept_lines(ctx: FormalContext, extent, intent, prefix: str = "") -> None:
@@ -174,14 +175,13 @@ def _cmd_query(ns) -> int:
     ctx = _load_context(ns.context)
     attrs = _attribute_indices(ctx, ns.attributes)
     # The answer's level needs only the concepts above it, not the whole lattice.
-    index = _lazy("_ConceptIndex")(ctx, _lazy("enumerate_concepts")(ctx))
-    cid = _lazy("nearest_concept")(ctx, index, attrs)
-    level = _lazy("_upset_level")(index, cid)
-    c = index.concepts[cid]
+    lat = _lazy("_order_on_demand")(_concept_index(ctx))
+    cid = _lazy("nearest_concept")(ctx, lat, attrs)
     if ns.format == "json":
-        print(json.dumps(_concept_fields(ctx, cid, c, level), indent=2))
+        print(json.dumps(_concept_dict(ctx, lat, cid), indent=2))
     else:
-        print(f"nearest concept [{cid}] at level {level}")
+        c = lat.concepts[cid]
+        print(f"nearest concept [{cid}] at level {lat.level_of(cid)}")
         _print_concept_lines(ctx, c.extent, c.intent, prefix="  ")
     return EXIT_OK
 
@@ -195,7 +195,9 @@ def _cmd_similar(ns) -> int:
 
     ctx = _load_context(ns.context)
     g = _object_index(ctx, ns.object)
-    lat = _lazy("build_lattice")(ctx)
+    # Every BFS layer but the last is printed whole, so the search reads the
+    # covers of at most k + 1 concepts, and the levels of those it prints.
+    lat = _lazy("_order_for_reads")(_concept_index(ctx), ns.k + 1)
     cid = lat.index_of(_lazy("object_concept")(ctx, g))
     results = _lazy("similar_concepts")(lat, cid, ns.k)
     if ns.format == "json":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import html
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import FormalContext, _extent_mask, _mask_to_indices
 from .enumeration import FormalConcept, enumerate_concepts
@@ -21,8 +21,8 @@ from .errors import BadId, MixedContext
 class _ConceptIndex:
     """The concepts of one context and the id of each extent, unordered.
 
-    Enough to look a concept up by its extent and to order part of the
-    lattice (:func:`_upset_level`); :class:`ConceptLattice` adds the covers.
+    Enough to look a concept up by its extent; :func:`_order_in_batch` and
+    :func:`_order_on_demand` order it into a :class:`ConceptLattice`.
     """
 
     def __init__(self, context: FormalContext, concepts: Iterable[FormalConcept]):
@@ -35,8 +35,12 @@ class _ConceptIndex:
 class ConceptLattice(_ConceptIndex):
     """All concepts of one context plus the cover (Hasse) structure.
 
-    Immutable after construction; safe for concurrent reads.  Build through
-    :func:`build_lattice`.
+    Immutable after construction; safe for concurrent reads.  The lattice of
+    :func:`build_lattice` holds every cover list and level from the start.
+    One that ``fca similar`` or ``fca query`` orders on demand computes each
+    cover list and level on its first read and keeps it.  Such an item is
+    written only while missing and only ever with its one value, so reads
+    stay safe.  Build through :func:`build_lattice`.
     """
 
     def __init__(
@@ -50,9 +54,9 @@ class ConceptLattice(_ConceptIndex):
         bottom_id: int,
     ):
         super().__init__(context, concepts)
-        self._upper = tuple(upper)
-        self._lower = tuple(lower)
-        self._levels = tuple(levels)
+        self._upper: Sequence[tuple[int, ...]] = tuple(upper)
+        self._lower: Sequence[tuple[int, ...]] = tuple(lower)
+        self._levels: Sequence[int] = tuple(levels)
         self.top_id = top_id
         self.bottom_id = bottom_id
 
@@ -115,8 +119,29 @@ class ConceptLattice(_ConceptIndex):
         return self._levels[self.bottom_id]
 
 
+def _ordered(index: _ConceptIndex, upper, lower, levels) -> ConceptLattice:
+    """The lattice of ``index`` with these cover lists and levels.
+
+    The lattice shares the index's extent list and extent->id dict, so no
+    lattice builds them twice.  Ids follow the enumeration order, which puts
+    the top first and the bottom last.
+    """
+    lat = ConceptLattice.__new__(ConceptLattice)
+    # Set one by one, as ``ConceptLattice.__init__`` does: copying the
+    # index's ``__dict__`` would leave attribute reads slower.
+    lat.context, lat.concepts = index.context, index.concepts
+    lat._extent_masks, lat._id_by_extent = index._extent_masks, index._id_by_extent
+    lat._upper, lat._lower, lat._levels = upper, lower, levels
+    lat.top_id, lat.bottom_id = 0, len(index.concepts) - 1
+    return lat
+
+
 def _lower_covers_and_levels(
-    extent_masks: list[int], id_by_extent: dict[int, int], cols: Sequence[int], ids: list[int]
+    extent_masks: list[int],
+    id_by_extent: dict[int, int],
+    cols: Sequence[int],
+    ids: list[int],
+    level: list[int],
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Lower covers and level of each concept in ``ids``, an ascending id list.
 
@@ -129,14 +154,13 @@ def _lower_covers_and_levels(
     inside one already kept, and the kept ids come out ascending.
 
     Upper covers have smaller ids, so one forward pass in id order sets
-    each level before its lower covers read it.  ``cols`` may be the
-    columns of one intent B only and ``ids`` the concepts above B's
-    concept: every candidate then lies in that interval, which is the
-    lattice of the subcontext on B, and the levels are the whole lattice's.
-    Both lists returned follow ``ids``.
+    each level before its lower covers read it.  ``level`` holds, per id,
+    the longest path found so far, and the pass raises it in place: each
+    concept of ``ids`` must have every upper cover either earlier in
+    ``ids`` or already counted in ``level``.  Both lists returned follow
+    ``ids``.
     """
     lower: list[tuple[int, ...]] = []
-    level = [0] * (ids[-1] + 1)
     for i in ids:
         a = extent_masks[i]
         candidates = set(map(a.__and__, cols))
@@ -159,51 +183,137 @@ def _lower_covers_and_levels(
     return lower, [level[i] for i in ids]
 
 
-def _upset_level(index: _ConceptIndex, cid: int) -> int:
-    """Level of concept ``cid``, ordering only the concepts above it.
+def _order_in_batch(index: _ConceptIndex) -> ConceptLattice:
+    """Every cover list and level of ``index``, from one pass of the kernel."""
+    ctx, extent_masks = index.context, index._extent_masks
+    n = len(extent_masks)
+    assert extent_masks[0] == ctx._all_objects_mask or not ctx.objects
+    assert all(extent_masks[-1] & m == extent_masks[-1] for m in extent_masks)
+    lower, levels = _lower_covers_and_levels(
+        extent_masks, index._id_by_extent, ctx._col_masks, list(range(n)), [0] * n
+    )
+    # Inverting in ascending id order leaves every upper-cover list sorted.
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for i, lows in enumerate(lower):
+        for j in lows:
+            upper[j].append(i)
+    return _ordered(index, tuple(map(tuple, upper)), tuple(lower), tuple(levels))
 
-    A longest cover path from the top to (A, B) stays inside the interval
-    [(A, B), top], whose extents are those containing A and whose lower
-    covers come from the columns of B, the columns containing A.
+
+class _OnDemand:
+    """A read-only sequence whose item ``i`` is ``fill(i)``, computed on its
+    first read and kept in ``items`` (``None`` marks an item not yet read).
+    ``fill`` may store other items it computes on the way."""
+
+    __slots__ = ("_items", "_fill")
+
+    def __init__(self, items: list, fill: Callable[[int], object]):
+        self._items = items
+        self._fill = fill
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int):
+        item = self._items[i]
+        if item is None:
+            i = range(len(self._items))[i]
+            item = self._items[i] = self._fill(i)
+        return item
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(len(self._items)))
+
+
+def _order_on_demand(index: _ConceptIndex) -> ConceptLattice:
+    """The lattice of ``index``, each cover list and level computed on first read.
+
+    A lower-cover list is the kernel of :func:`_order_in_batch` run on one
+    concept.  Upper covers are taken from the object side (Lindig, "Fast
+    concept analysis", 2000): those of (A, B) are the concepts whose
+    intents are maximal among B & g' for the objects g outside A.  Each
+    B & g' is an intent, since intents are closed under intersection, and
+    equal rows give equal candidates, so each distinct row is read once.
+    A level comes from running the kernel over the concepts above its
+    concept; that fixes the level and the lower covers of each of them,
+    and all are kept.  So no concept is ordered twice, and any sequence of
+    reads orders at most what :func:`_order_in_batch` orders.
     """
-    extent_masks = index._extent_masks
-    a = extent_masks[cid]
-    ids = [j for j in range(cid + 1) if extent_masks[j] & a == a]
-    cols = [col for col in index.context._col_masks if col & a == a]
-    return _lower_covers_and_levels(extent_masks, index._id_by_extent, cols, ids)[1][-1]
+    ctx = index.context
+    concepts, extent_masks, id_by_extent = index.concepts, index._extent_masks, index._id_by_extent
+    cols = ctx._col_masks
+    rows = set(ctx._row_masks)
+    n = len(concepts)
+    lowers: list[tuple[int, ...] | None] = [None] * n
+    levels: list[int | None] = [None] * n
+
+    def upper(i: int) -> tuple[int, ...]:
+        b = concepts[i].intent_mask
+        candidates = {b & row for row in rows}
+        candidates.discard(b)  # the rows of A's own objects
+        # Visited largest first, a candidate is maximal unless it lies
+        # inside one already kept.
+        kept: list[int] = []
+        for c in sorted(candidates, key=int.bit_count, reverse=True):
+            for k in kept:
+                if c & k == c:
+                    break
+            else:
+                kept.append(c)
+        return tuple(sorted(id_by_extent[_extent_mask(ctx, c)] for c in kept))
+
+    def lower(i: int) -> tuple[int, ...]:
+        return _lower_covers_and_levels(extent_masks, id_by_extent, cols, [i], [0] * n)[0][0]
+
+    def level(i: int) -> int:
+        # A longest cover path from the top to (A, B) stays among the
+        # concepts whose extents contain A.  Those an earlier read ordered
+        # pass their levels on to their lower covers; the kernel orders
+        # the rest.
+        a = extent_masks[i]
+        found = [0] * n
+        todo = []
+        for j in range(i + 1):
+            if extent_masks[j] & a == a:
+                known = levels[j]
+                if known is None:
+                    todo.append(j)
+                    continue
+                below = known + 1
+                for low in lowers[j]:
+                    if found[low] < below:
+                        found[low] = below
+        todo_lowers, todo_levels = _lower_covers_and_levels(
+            extent_masks, id_by_extent, cols, todo, found
+        )
+        for j, low, known in zip(todo, todo_lowers, todo_levels):
+            lowers[j] = low  # first, so that a kept level always has its covers
+            levels[j] = known
+        return levels[i]
+
+    return _ordered(
+        index, _OnDemand([None] * n, upper), _OnDemand(lowers, lower), _OnDemand(levels, level)
+    )
+
+
+# Reading one concept's covers on demand costs about what ordering this many
+# concepts in one batch costs: on a random 200x40 context (4,841 concepts)
+# ``fca similar`` broke even near k = 50, that is 51 concepts read.  Levels
+# cost no more on demand than in one batch (see :func:`_order_on_demand`).
+_ON_DEMAND_COST = 100
+
+
+def _order_for_reads(index: _ConceptIndex, reads: int) -> ConceptLattice:
+    """``index`` ordered for a caller that reads the covers of ``reads`` concepts:
+    on demand when that is cheaper than ordering every concept at once."""
+    if reads * _ON_DEMAND_COST <= len(index.concepts):
+        return _order_on_demand(index)
+    return _order_in_batch(index)
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Order the concepts of ``ctx`` into their Hasse diagram."""
-    index = _ConceptIndex(ctx, enumerate_concepts(ctx))
-    concepts = index.concepts
-    extent_masks = index._extent_masks
-    n = len(concepts)
-    lower, levels = _lower_covers_and_levels(
-        extent_masks, index._id_by_extent, ctx._col_masks, list(range(n))
-    )
-
-    # Inverting in ascending id order leaves every upper-cover list sorted.
-    upper_lists: list[list[int]] = [[] for _ in range(n)]
-    for i, lows in enumerate(lower):
-        for j in lows:
-            upper_lists[j].append(i)
-    upper = [tuple(ups) for ups in upper_lists]
-
-    top_id = 0
-    bottom_id = n - 1
-    assert extent_masks[top_id] == ctx._all_objects_mask or not ctx.objects
-    assert all(extent_masks[bottom_id] & m == extent_masks[bottom_id] for m in extent_masks)
-
-    return ConceptLattice(
-        ctx,
-        concepts,
-        upper,
-        lower,
-        levels,
-        top_id,
-        bottom_id,
-    )
+    return _order_in_batch(_ConceptIndex(ctx, enumerate_concepts(ctx)))
 
 
 def recompute_covers_pairwise(lat: ConceptLattice) -> list[tuple[int, int]]:

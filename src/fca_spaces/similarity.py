@@ -143,8 +143,8 @@ def nearest_concept(ctx: FormalContext, lat: _ConceptIndex, attrs: Iterable[int]
 
     Total: an attribute combination no object exhibits lands on the bottom
     concept.  For any already-closed intent this is exactly its concept.
-    Only the concepts of ``lat`` are read, so ``fca query`` passes the
-    concepts of ``ctx`` before any cover is built.
+    Only the concepts of ``lat`` are read, never its covers, so an unordered
+    ``_ConceptIndex`` serves as well as a lattice.
     """
     _check_same_context(lat, ctx)
     # The concept's extent is the cue's extent, so its intent need not be derived.

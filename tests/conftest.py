@@ -34,6 +34,16 @@ def contexts(draw, max_objects=8, max_attributes=8, min_objects=0, min_attribute
     return make_context(bit_rows, n_attr)
 
 
+@st.composite
+def tall_contexts(draw):
+    """40 to 80 objects over 3 to 5 attributes: at most 32 distinct rows, so
+    most objects share their row with another."""
+    n_attr = draw(st.integers(3, 5))
+    n_obj = draw(st.integers(40, 80))
+    row = st.frozensets(st.integers(0, n_attr - 1))
+    return make_context(draw(st.lists(row, min_size=n_obj, max_size=n_obj)), n_attr)
+
+
 def random_context(rng: random.Random, max_objects=8, max_attributes=8):
     n_obj = rng.randint(0, max_objects)
     n_attr = rng.randint(0, max_attributes)

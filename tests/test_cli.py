@@ -1,12 +1,25 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 import fca_spaces.lattice
-from fca_spaces import ConceptLattice, build_lattice, cli, golden_csv
+from fca_spaces import (
+    ConceptLattice,
+    FormalConcept,
+    build_lattice,
+    cli,
+    corpus_context,
+    enumerate_concepts,
+    golden_csv,
+    object_concept,
+    serialize_context,
+    similar_concepts,
+)
 from fca_spaces.cli import run
+from conftest import make_context
 
 
 def invoke(capsys, *argv):
@@ -126,6 +139,83 @@ class TestSimilarCommand:
         assert code == 3
         assert "Ex9 Act9" in err
 
+    def test_runs_without_building_the_lattice(self, generated, monkeypatch, capsys):
+        ctx, path = generated["on demand"]
+        argv = ("similar", path, "--object", ctx.objects[0])
+        want = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+
+        def refused(ctx):
+            raise AssertionError("fca similar built the whole lattice")
+
+        monkeypatch.setattr(cli, "build_lattice", refused)
+        monkeypatch.setattr(fca_spaces.lattice, "build_lattice", refused)
+        monkeypatch.setattr(fca_spaces.lattice, "_order_in_batch", refused)
+        got = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+        assert got == want
+        assert [code for code, _, _ in got] == [0, 0]
+
+    @pytest.mark.parametrize("source", ["ninapro-abc", "ninapro-grasp", "on demand", "in batch"])
+    def test_equals_full_lattice_render(self, source, generated, capsys):
+        # either side of the k rule prints what the whole lattice gives
+        ctx, path = generated[source] if source in generated else (corpus_context(source), source)
+        lat = build_lattice(ctx)
+        for name in ctx.objects:
+            for k in (1, 5, 20):
+                for fmt in ("table", "json"):
+                    code, out, _ = invoke(capsys, "similar", path, "--object", name, "-k", str(k),
+                                          "--format", fmt)
+                    assert (code, out) == (0, similar_render(ctx, lat, name, k, fmt))
+
+
+def similar_render(ctx, lat, name, k, fmt):
+    """What ``fca similar`` prints, rendered from a lattice built in one batch."""
+    cid = lat.index_of(object_concept(ctx, ctx.object_index(name)))
+    results = similar_concepts(lat, cid, k)
+
+    def fields(i):
+        c = lat.concepts[i]
+        return {
+            "id": i,
+            "extent": list(ctx.object_names(c.extent)),
+            "intent": list(ctx.attribute_names(c.intent)),
+            "level": lat.level_of(i),
+        }
+
+    if fmt == "json":
+        similar = [
+            {"distance": r.lattice_distance, "jaccard": float(r.intent_jaccard), **fields(r.concept_id)}
+            for r in results
+        ]
+        return json.dumps({"object": name, "concept": fields(cid), "similar": similar}, indent=2) + "\n"
+    lines = [f"object {name!r} -> concept [{cid}]"] + [
+        f"{rank}. [{r.concept_id}] distance {r.lattice_distance} "
+        f"jaccard {float(r.intent_jaccard):.3f} "
+        f"intent: {', '.join(ctx.attribute_names(lat.concepts[r.concept_id].intent))}"
+        for rank, r in enumerate(results, start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A random context on each side of the rule by which ``fca similar``
+    orders on demand at every k in 1, 5 and 20, written as CSV."""
+    out = {}
+    for side, (n_obj, n_attr, density) in {"on demand": (18, 24, 0.65), "in batch": (12, 8, 0.5)}.items():
+        rng = random.Random(1)
+        rows = [frozenset(m for m in range(n_attr) if rng.random() < density) for _ in range(n_obj)]
+        ctx = make_context(rows, n_attr)
+        concepts = len(enumerate_concepts(ctx))
+        cost = fca_spaces.lattice._ON_DEMAND_COST
+        if side == "on demand":
+            assert (20 + 1) * cost <= concepts
+        else:
+            assert (1 + 1) * cost > concepts
+        path = tmp_path_factory.mktemp("similar") / f"{n_obj}x{n_attr}.csv"
+        path.write_text(serialize_context(ctx), encoding="utf-8")
+        out[side] = ctx, str(path)
+    return out
+
 
 class TestSiblingsCommand:
     def test_finger_siblings(self, capsys):
@@ -236,6 +326,21 @@ class TestValidateCommand:
         code, out, err = invoke(capsys, "validate", "ninapro-abc")
         assert code == 1
         assert "FAIL: covers equal pairwise transitive reduction" in out.splitlines()
+        assert "check(s) failed" in err
+
+    def test_non_closed_concept_fails(self, monkeypatch, capsys):
+        def bottom_intent_short_of_one(ctx):
+            lat = build_lattice(ctx)
+            concepts = list(lat.concepts)
+            bottom = concepts[lat.bottom_id]
+            concepts[lat.bottom_id] = FormalConcept(bottom.extent_mask, bottom.intent_mask >> 1)
+            levels = [lat.level_of(i) for i in range(len(lat))]
+            return ConceptLattice(ctx, concepts, lat._upper, lat._lower, levels, lat.top_id, lat.bottom_id)
+
+        monkeypatch.setattr(cli, "build_lattice", bottom_intent_short_of_one)
+        code, out, err = invoke(capsys, "validate", "ninapro-abc")
+        assert code == 1
+        assert "FAIL: concepts are closed (extent'' = extent, intent'' = intent)" in out.splitlines()
         assert "check(s) failed" in err
 
     def test_oracle_refused_on_wide_context(self, tmp_path, capsys):

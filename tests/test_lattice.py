@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +19,7 @@ from fca_spaces import (
     ninapro_grasp,
     object_concept,
 )
-from fca_spaces.lattice import recompute_covers_pairwise
+from fca_spaces.lattice import _ConceptIndex, _order_on_demand, recompute_covers_pairwise
 from conftest import make_context, random_context, rows_of
 from reference import ref_hasse_edges, ref_levels
 
@@ -176,6 +178,38 @@ class TestLevels:
         for lat in (abc_lat, grasp_lat):
             want = ref_levels(len(lat), set(lat.cover_edges()))
             assert {i: lat.level_of(i) for i in range(len(lat))} == want
+
+
+class TestOnDemand:
+    def test_concurrent_first_reads(self):
+        # threads that race to fill the same items all read the batch values
+        rng = random.Random(3)
+        ctx = make_context(
+            [frozenset(m for m in range(14) if rng.random() < 0.5) for _ in range(40)], 14
+        )
+        want = build_lattice(ctx)
+        lat = _order_on_demand(_ConceptIndex(ctx, want.concepts))
+        reads = [(kind, i) for kind in ("upper_covers", "lower_covers", "level_of")
+                 for i in range(len(want))]
+        got = [None] * 4
+
+        def reader(slot):
+            order = random.Random(slot).sample(reads, len(reads))
+            got[slot] = {read: getattr(lat, read[0])(read[1]) for read in order}
+
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = {(kind, i): getattr(want, kind)(i) for kind, i in reads}
+        assert all(seen == expected for seen in got)
 
 
 class TestLatticeLaws:

@@ -31,8 +31,8 @@ from fca_spaces import (
 )
 from fca_spaces import cli
 from fca_spaces.context import _intent_mask, _mask_to_indices
-from fca_spaces.lattice import _ConceptIndex, _covers_pass_neighbour_test, _upset_level
-from conftest import contexts, make_context, random_context, rows_of
+from fca_spaces.lattice import _ConceptIndex, _covers_pass_neighbour_test, _order_on_demand
+from conftest import contexts, make_context, random_context, rows_of, tall_contexts
 from reference import ref_distances, ref_hasse_edges, ref_levels, ref_intent, ref_sorted_concepts
 
 
@@ -201,7 +201,30 @@ def test_upset_level_matches_full_lattice_and_reference(ctx):
     index = _ConceptIndex(ctx, enumerate_concepts(ctx))
     levels = ref_levels(n, ref_hasse_edges([c.extent_set for c in lat.concepts]))
     for i in range(n):
-        assert _upset_level(index, i) == lat.level_of(i) == levels[i]
+        assert _order_on_demand(index).level_of(i) == lat.level_of(i) == levels[i]
+
+
+@pytest.mark.parametrize(
+    "strategy", [contexts(max_objects=7, max_attributes=7), tall_contexts()], ids=["small", "tall"]
+)
+@given(data=st.data())
+@settings(deadline=None)
+def test_on_demand_lattice_equals_built_lattice(strategy, data):
+    # covers and levels filled on first read, in a drawn order of reads,
+    # equal those the batch construction computes
+    ctx = data.draw(strategy)
+    want = build_lattice(ctx)
+    n = len(want)
+    lat = _order_on_demand(_ConceptIndex(ctx, enumerate_concepts(ctx)))
+    reads = [(kind, i) for kind in ("upper_covers", "lower_covers", "level_of") for i in range(n)]
+    for kind, i in data.draw(st.permutations(reads)):
+        assert getattr(lat, kind)(i) == getattr(want, kind)(i)
+    fresh = _order_on_demand(_ConceptIndex(ctx, enumerate_concepts(ctx)))
+    assert fresh.height() == want.height()
+    assert fresh.cover_edges() == want.cover_edges()
+    assert list(fresh._lower) == list(want._lower)
+    assert list(fresh._levels) == list(want._levels)
+    assert lat.cover_edges() == want.cover_edges() and lat.height() == want.height()
 
 
 @given(contexts(max_objects=7, max_attributes=7), st.randoms(use_true_random=False))
@@ -289,28 +312,53 @@ def test_distance_symmetry_and_identity(ctx):
             assert (d == 0) == (a == b)
 
 
+def _set_jaccard(x, y):
+    return Fraction(len(x & y), len(x | y)) if x | y else Fraction(1)
+
+
+def _reference_rankings(concepts):
+    """Per concept id a: the reference distance of every id from a, and every
+    other id as (distance, -jaccard, id), sorted."""
+    n = len(concepts)
+    edges = ref_hasse_edges([c.extent_set for c in concepts])
+    intents = [c.intent_set for c in concepts]
+    for a in range(n):
+        dist = ref_distances(n, edges, a)
+        yield dist, sorted(
+            (dist[b], -_set_jaccard(intents[a], intents[b]), b) for b in range(n) if b != a
+        )
+
+
+def _ranked(lat, a, k):
+    return [(r.lattice_distance, -r.intent_jaccard, r.concept_id)
+            for r in similar_concepts(lat, a, k)]
+
+
 @given(contexts(max_objects=7, max_attributes=7))
 @settings(deadline=None)
 def test_similarity_ranking_matches_reference(ctx):
     # the layered search must return the full ranking cut to k
     lat = build_lattice(ctx)
     n = len(lat)
-    edges = ref_hasse_edges([c.extent_set for c in lat.concepts])
-    intents = [c.intent_set for c in lat.concepts]
-
-    def set_jaccard(x, y):
-        return Fraction(len(x & y), len(x | y)) if x | y else Fraction(1)
-
-    for a in range(n):
-        dist = ref_distances(n, edges, a)
+    for a, (dist, ranking) in enumerate(_reference_rankings(lat.concepts)):
         assert [lattice_distance(lat, a, b) for b in range(n)] == [dist[b] for b in range(n)]
-        ranking = sorted(
-            (dist[b], -set_jaccard(intents[a], intents[b]), b) for b in range(n) if b != a
-        )
         for k in {1, 2, 5, n}:
-            got = [(r.lattice_distance, -r.intent_jaccard, r.concept_id)
-                   for r in similar_concepts(lat, a, k)]
-            assert got == ranking[:k]
+            assert _ranked(lat, a, k) == ranking[:k]
+
+
+@pytest.mark.parametrize(
+    "strategy", [contexts(max_objects=7, max_attributes=7), tall_contexts()], ids=["small", "tall"]
+)
+@given(data=st.data())
+@settings(deadline=None)
+def test_on_demand_similarity_matches_reference(strategy, data):
+    # the search reads covers only as it reaches them, from a fresh lattice each time
+    ctx = data.draw(strategy)
+    index = _ConceptIndex(ctx, enumerate_concepts(ctx))
+    n = len(index.concepts)
+    for a, (_, ranking) in enumerate(_reference_rankings(index.concepts)):
+        for k in {1, 2, 5, n}:
+            assert _ranked(_order_on_demand(index), a, k) == ranking[:k]
 
 
 @given(contexts(max_objects=6, max_attributes=6), st.randoms(use_true_random=False))
