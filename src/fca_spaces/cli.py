@@ -34,9 +34,8 @@ if TYPE_CHECKING:
 _lazy = __getattr__ = _lazy_names(globals(), {
     "enumeration": ("brute_force_concepts", "enumerate_concepts", "object_concept"),
     "lattice": (
-        "_ConceptIndex", "_covers_pass_neighbour_test", "_json_list", "_order_for_reads",
-        "_order_on_demand", "build_lattice", "export_dot", "export_json",
-        "recompute_covers_pairwise",
+        "_ConceptIndex", "_covers_pass_neighbour_test", "_json_list", "_order_on_demand",
+        "build_lattice", "export_dot", "export_json", "recompute_covers_pairwise",
     ),
     "similarity": ("nearest_concept", "prototype", "siblings", "similar_concepts"),
 })
@@ -197,7 +196,7 @@ def _cmd_similar(ns) -> int:
     g = _object_index(ctx, ns.object)
     # Every BFS layer but the last is printed whole, so the search reads the
     # covers of at most k + 1 concepts, and the levels of those it prints.
-    lat = _lazy("_order_for_reads")(_concept_index(ctx), ns.k + 1)
+    lat = _lazy("_order_on_demand")(_concept_index(ctx))
     cid = lat.index_of(_lazy("object_concept")(ctx, g))
     results = _lazy("similar_concepts")(lat, cid, ns.k)
     if ns.format == "json":

@@ -10,6 +10,7 @@ not graded.
 from __future__ import annotations
 
 import html
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -141,7 +142,7 @@ def _lower_covers_and_levels(
     id_by_extent: dict[int, int],
     cols: Sequence[int],
     ids: list[int],
-    level: list[int],
+    level: list[int] | dict[int, int],
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Lower covers and level of each concept in ``ids``, an ascending id list.
 
@@ -155,10 +156,11 @@ def _lower_covers_and_levels(
 
     Upper covers have smaller ids, so one forward pass in id order sets
     each level before its lower covers read it.  ``level`` holds, per id,
-    the longest path found so far, and the pass raises it in place: each
-    concept of ``ids`` must have every upper cover either earlier in
-    ``ids`` or already counted in ``level``.  Both lists returned follow
-    ``ids``.
+    the longest path found so far (a list over all ids, or a
+    ``defaultdict(int)`` when only the covers are wanted), and the pass
+    raises it in place: each concept of ``ids`` must have every upper cover
+    either earlier in ``ids`` or already counted in ``level``.  Both lists
+    returned follow ``ids``.
     """
     lower: list[tuple[int, ...]] = []
     for i in ids:
@@ -228,87 +230,67 @@ class _OnDemand:
 def _order_on_demand(index: _ConceptIndex) -> ConceptLattice:
     """The lattice of ``index``, each cover list and level computed on first read.
 
-    A lower-cover list is the kernel of :func:`_order_in_batch` run on one
-    concept.  Upper covers are taken from the object side (Lindig, "Fast
-    concept analysis", 2000): those of (A, B) are the concepts whose
-    intents are maximal among B & g' for the objects g outside A.  Each
-    B & g' is an intent, since intents are closed under intersection, and
-    equal rows give equal candidates, so each distinct row is read once.
-    A level comes from running the kernel over the concepts above its
-    concept; that fixes the level and the lower covers of each of them,
-    and all are kept.  So no concept is ordered twice, and any sequence of
-    reads orders at most what :func:`_order_in_batch` orders.
+    A lower-cover list read on its own is the kernel of
+    :func:`_order_in_batch` run on its one concept.  Reading a level or an
+    upper-cover list orders the concepts above its concept, (A, B), that
+    no earlier read ordered: a longest cover path from the top, and every
+    upper cover, stays among the concepts whose extents contain A, and
+    the kernel run over them in id order is the batch pass on that part
+    of the lattice.  Ordering a concept keeps its level and lower covers,
+    adds it to the upper-cover list of each lower cover, and raises the
+    level each lower cover has reached in one list kept for the whole
+    lattice; so no concept is ordered twice, and once (A, B) is ordered
+    its upper-cover list is whole.
+
+    The kernel work of any sequence of reads is at most that of
+    :func:`_order_in_batch`, plus one more kernel run per lower-cover list
+    read on its own.  Each read that orders also tests the extents of every
+    id up to its concept, so r such reads cost O(r * n) besides.
     """
     ctx = index.context
-    concepts, extent_masks, id_by_extent = index.concepts, index._extent_masks, index._id_by_extent
+    extent_masks, id_by_extent = index._extent_masks, index._id_by_extent
     cols = ctx._col_masks
-    rows = set(ctx._row_masks)
-    n = len(concepts)
+    n = len(extent_masks)
     lowers: list[tuple[int, ...] | None] = [None] * n
     levels: list[int | None] = [None] * n
+    reached = [0] * n  # per id, the longest path down from the top found so far
+    ups: list[list[int]] = [[] for _ in range(n)]  # upper covers ordered so far
+
+    def order_above(i: int) -> None:
+        # Concepts an earlier read ordered have already raised ``reached``
+        # and filled ``ups`` for their lower covers; the kernel orders the rest.
+        a = extent_masks[i]
+        todo = [j for j in range(i + 1) if levels[j] is None and extent_masks[j] & a == a]
+        todo_lowers, todo_levels = _lower_covers_and_levels(
+            extent_masks, id_by_extent, cols, todo, reached
+        )
+        # Ascending ids add every upper cover of a concept before its level
+        # is kept, so a kept level always has its covers, lower and upper.
+        for j, low, known in zip(todo, todo_lowers, todo_levels):
+            lowers[j] = low
+            for x in low:
+                ups[x].append(j)
+            levels[j] = known
 
     def upper(i: int) -> tuple[int, ...]:
-        b = concepts[i].intent_mask
-        candidates = {b & row for row in rows}
-        candidates.discard(b)  # the rows of A's own objects
-        # Visited largest first, a candidate is maximal unless it lies
-        # inside one already kept.
-        kept: list[int] = []
-        for c in sorted(candidates, key=int.bit_count, reverse=True):
-            for k in kept:
-                if c & k == c:
-                    break
-            else:
-                kept.append(c)
-        return tuple(sorted(id_by_extent[_extent_mask(ctx, c)] for c in kept))
+        if levels[i] is None:
+            order_above(i)
+        # A set, since two threads may both order the same concept.
+        return tuple(sorted(set(ups[i])))
 
     def lower(i: int) -> tuple[int, ...]:
-        return _lower_covers_and_levels(extent_masks, id_by_extent, cols, [i], [0] * n)[0][0]
+        # Only the covers are wanted: the kernel's levels go to a scratch dict.
+        return _lower_covers_and_levels(
+            extent_masks, id_by_extent, cols, [i], defaultdict(int)
+        )[0][0]
 
     def level(i: int) -> int:
-        # A longest cover path from the top to (A, B) stays among the
-        # concepts whose extents contain A.  Those an earlier read ordered
-        # pass their levels on to their lower covers; the kernel orders
-        # the rest.
-        a = extent_masks[i]
-        found = [0] * n
-        todo = []
-        for j in range(i + 1):
-            if extent_masks[j] & a == a:
-                known = levels[j]
-                if known is None:
-                    todo.append(j)
-                    continue
-                below = known + 1
-                for low in lowers[j]:
-                    if found[low] < below:
-                        found[low] = below
-        todo_lowers, todo_levels = _lower_covers_and_levels(
-            extent_masks, id_by_extent, cols, todo, found
-        )
-        for j, low, known in zip(todo, todo_lowers, todo_levels):
-            lowers[j] = low  # first, so that a kept level always has its covers
-            levels[j] = known
+        order_above(i)
         return levels[i]
 
     return _ordered(
         index, _OnDemand([None] * n, upper), _OnDemand(lowers, lower), _OnDemand(levels, level)
     )
-
-
-# Reading one concept's covers on demand costs about what ordering this many
-# concepts in one batch costs: on a random 200x40 context (4,841 concepts)
-# ``fca similar`` broke even near k = 50, that is 51 concepts read.  Levels
-# cost no more on demand than in one batch (see :func:`_order_on_demand`).
-_ON_DEMAND_COST = 100
-
-
-def _order_for_reads(index: _ConceptIndex, reads: int) -> ConceptLattice:
-    """``index`` ordered for a caller that reads the covers of ``reads`` concepts:
-    on demand when that is cheaper than ordering every concept at once."""
-    if reads * _ON_DEMAND_COST <= len(index.concepts):
-        return _order_on_demand(index)
-    return _order_in_batch(index)
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:

@@ -12,7 +12,6 @@ from fca_spaces import (
     build_lattice,
     cli,
     corpus_context,
-    enumerate_concepts,
     golden_csv,
     object_concept,
     serialize_context,
@@ -140,9 +139,11 @@ class TestSimilarCommand:
         assert "Ex9 Act9" in err
 
     def test_runs_without_building_the_lattice(self, generated, monkeypatch, capsys):
-        ctx, path = generated["on demand"]
-        argv = ("similar", path, "--object", ctx.objects[0])
-        want = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+        # also at a k that reads every concept, where the bottom's level needs them all
+        ctx, path = generated["18x24"]
+        argv = [("similar", path, "--object", ctx.objects[0], "-k", k, "--format", fmt)
+                for k in ("5", "100000") for fmt in ("table", "json")]
+        want = [invoke(capsys, *a) for a in argv]
 
         def refused(ctx):
             raise AssertionError("fca similar built the whole lattice")
@@ -150,21 +151,21 @@ class TestSimilarCommand:
         monkeypatch.setattr(cli, "build_lattice", refused)
         monkeypatch.setattr(fca_spaces.lattice, "build_lattice", refused)
         monkeypatch.setattr(fca_spaces.lattice, "_order_in_batch", refused)
-        got = [invoke(capsys, *argv, "--format", fmt) for fmt in ("table", "json")]
+        got = [invoke(capsys, *a) for a in argv]
         assert got == want
-        assert [code for code, _, _ in got] == [0, 0]
+        assert [code for code, _, _ in got] == [0, 0, 0, 0]
 
-    @pytest.mark.parametrize("source", ["ninapro-abc", "ninapro-grasp", "on demand", "in batch"])
+    @pytest.mark.parametrize("source", ["ninapro-abc", "ninapro-grasp", "18x24", "12x8"])
     def test_equals_full_lattice_render(self, source, generated, capsys):
-        # either side of the k rule prints what the whole lattice gives
         ctx, path = generated[source] if source in generated else (corpus_context(source), source)
         lat = build_lattice(ctx)
-        for name in ctx.objects:
-            for k in (1, 5, 20):
-                for fmt in ("table", "json"):
-                    code, out, _ = invoke(capsys, "similar", path, "--object", name, "-k", str(k),
-                                          "--format", fmt)
-                    assert (code, out) == (0, similar_render(ctx, lat, name, k, fmt))
+        # the last run reads every concept
+        runs = [(name, k) for name in ctx.objects for k in (1, 5, 20)] + [(ctx.objects[0], len(lat))]
+        for name, k in runs:
+            for fmt in ("table", "json"):
+                code, out, _ = invoke(capsys, "similar", path, "--object", name, "-k", str(k),
+                                      "--format", fmt)
+                assert (code, out) == (0, similar_render(ctx, lat, name, k, fmt))
 
 
 def similar_render(ctx, lat, name, k, fmt):
@@ -198,22 +199,15 @@ def similar_render(ctx, lat, name, k, fmt):
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
-    """A random context on each side of the rule by which ``fca similar``
-    orders on demand at every k in 1, 5 and 20, written as CSV."""
+    """Two random contexts written as CSV: 18x24 (2,159 concepts) and 12x8 (26)."""
     out = {}
-    for side, (n_obj, n_attr, density) in {"on demand": (18, 24, 0.65), "in batch": (12, 8, 0.5)}.items():
+    for n_obj, n_attr, density in ((18, 24, 0.65), (12, 8, 0.5)):
         rng = random.Random(1)
         rows = [frozenset(m for m in range(n_attr) if rng.random() < density) for _ in range(n_obj)]
         ctx = make_context(rows, n_attr)
-        concepts = len(enumerate_concepts(ctx))
-        cost = fca_spaces.lattice._ON_DEMAND_COST
-        if side == "on demand":
-            assert (20 + 1) * cost <= concepts
-        else:
-            assert (1 + 1) * cost > concepts
         path = tmp_path_factory.mktemp("similar") / f"{n_obj}x{n_attr}.csv"
         path.write_text(serialize_context(ctx), encoding="utf-8")
-        out[side] = ctx, str(path)
+        out[f"{n_obj}x{n_attr}"] = ctx, str(path)
     return out
 
 
